@@ -1,8 +1,8 @@
 """Ablation benchmark: steady-state solver strategies on Eq. (5).
 
-DESIGN.md calls out the choice of integrate-then-Newton as the production
-path; this bench times the alternatives on the hardest model in the paper
-(CMFSD at K=10) and asserts they agree on the answer.
+DESIGN.md calls out the choice of pseudo-transient continuation + Newton as
+the production path; this bench times the alternatives on the hardest model
+in the paper (CMFSD at K=10) and asserts they agree on the answer.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _reference_state():
         (anderson_steady_state, False),
         (scipy_steady_state, True),
     ],
-    ids=["integrate+newton", "integrate", "anderson", "scipy-hybr"],
+    ids=["ptc+newton", "integrate", "anderson", "scipy-hybr"],
 )
 def test_bench_cmfsd_steady_solvers(benchmark, solver, needs_warm_start):
     model = _model()

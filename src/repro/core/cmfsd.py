@@ -287,12 +287,12 @@ class CMFSDModel:
     ) -> CMFSDSteadyState:
         """Solve Eq. (5) to stationarity.
 
-        The default path integrates from the empty torrent and polishes
-        with Newton (globally robust).  ``initial_state`` enables warm
-        starts for parameter sweeps -- a nearby solution (e.g. the previous
-        point on a rho grid) lets Newton converge directly, which is an
-        order of magnitude faster; if the warm Newton solve fails, the
-        robust path runs as a fallback.
+        The default path runs pseudo-transient continuation from the empty
+        torrent and polishes with Newton (globally robust).
+        ``initial_state`` enables warm starts for parameter sweeps -- a
+        nearby solution (e.g. the previous point on a rho grid) lets Newton
+        converge directly, which is an order of magnitude faster; if the
+        warm Newton solve fails, the robust path runs as a fallback.
         """
         if float(np.sum(self.class_rates)) == 0.0:
             return CMFSDSteadyState(

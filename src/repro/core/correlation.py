@@ -97,12 +97,15 @@ class CorrelationModel:
 
         Users drawing ``i = 0`` never enter the system, so the vector omits
         that mass; consequently ``sum(class_rates()) =
-        visit_rate * (1 - (1-p)^K)``.
+        visit_rate * (1 - (1-p)^K)``.  Rates below the smallest normal float
+        are flushed to 0: a subnormal rate carries too few significant bits
+        for any identity above to hold, so such a class is empty instead.
         """
 
         def compute() -> np.ndarray:
-            pmf = binom.pmf(self.classes, self.num_files, self.p)
-            return self.visit_rate * pmf
+            rates = self.visit_rate * binom.pmf(self.classes, self.num_files, self.p)
+            rates[rates < np.finfo(float).tiny] = 0.0
+            return rates
 
         return self._cached("_class_rates", compute)
 

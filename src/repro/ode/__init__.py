@@ -8,7 +8,8 @@ them and to locate their stationary points:
   Dormand--Prince RK45 implemented from scratch, plus a thin wrapper around
   :func:`scipy.integrate.solve_ivp`.  Having two independent implementations
   lets the test-suite cross-check every model.
-* :mod:`repro.ode.steady_state` -- integrate-to-convergence drivers, damped
+* :mod:`repro.ode.steady_state` -- the pseudo-transient continuation +
+  Newton production driver, an integrate-to-convergence driver, damped
   Newton iteration with a numerical Jacobian, Anderson acceleration, and a
   wrapper over :func:`scipy.optimize.root`.
 * :mod:`repro.ode.events` -- time-grid helpers and dense-output sampling.

@@ -9,12 +9,13 @@ complementary strategies:
   norm is negligible.  Robust (the models are globally attracting for valid
   parameters) but slower.
 * :func:`newton_steady_state` -- damped Newton with a finite-difference
-  Jacobian.  Fast local convergence; used to polish integration output.
+  Jacobian.  Fast local convergence; used to polish the coarse phase.
 * :func:`anderson_steady_state` -- Anderson-accelerated fixed-point
   iteration on ``y + dt*f(y)``; derivative-free middle ground.
 * :func:`scipy_steady_state` -- :func:`scipy.optimize.root` wrapper.
-* :func:`find_steady_state` -- the production driver: integrate, then polish
-  with Newton, falling back gracefully.
+* :func:`find_steady_state` -- the production driver: pseudo-transient
+  continuation toward the attractor, then a Newton polish, falling back
+  gracefully.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ class SteadyStateOptions:
         Convergence threshold on the scaled residual
         ``||f(y)||_inf / max(1, ||y||_inf)``.
     t_block:
-        Length of each integration block for the integrate-to-convergence
-        driver; the residual is checked after every block.
+        Length of each integration block for
+        :func:`integrate_to_steady_state`; the residual is checked after
+        every block.  No other driver integrates, so no other reads it.
     max_blocks:
-        Maximum number of integration blocks before giving up.
+        Maximum number of integration blocks before
+        :func:`integrate_to_steady_state` gives up (read by it alone).
     max_newton_iter:
         Iteration cap for the Newton polisher.
     fd_eps:
@@ -74,10 +77,23 @@ class SteadyStateOptions:
     nonnegative: bool = True
 
 
+#: Pseudo-transient continuation schedule of :func:`find_steady_state`'s
+#: coarse phase: the first pseudo-time step, its factor on an accepted step
+#: and on a rejected one, and the budget of steps (accepted and rejected).
+PTC_DT0 = 1.0
+PTC_GROWTH = 4.0
+PTC_SHRINK = 0.25
+PTC_MAX_STEPS = 100
+
+
 def residual_norm(rhs: RHS, y: np.ndarray, t: float = 0.0) -> float:
     """Scaled residual ``||f(t, y)||_inf / max(1, ||y||_inf)``."""
     y = np.asarray(y, dtype=float)
-    f = np.asarray(rhs(t, y), dtype=float)
+    return _scaled_residual(np.asarray(rhs(t, y), dtype=float), y)
+
+
+def _scaled_residual(f: np.ndarray, y: np.ndarray) -> float:
+    """:func:`residual_norm` from an already evaluated ``f = rhs(t, y)``."""
     scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
     return float(np.max(np.abs(f))) / scale if f.size else 0.0
 
@@ -225,15 +241,19 @@ def _batched_jacobian_columns(
     return fp
 
 
-def _numerical_jacobian(rhs: RHS, y: np.ndarray, eps_rel: float) -> np.ndarray:
+def _numerical_jacobian(
+    rhs: RHS, y: np.ndarray, eps_rel: float, f0: np.ndarray | None = None
+) -> np.ndarray:
     """Forward-difference Jacobian of ``f(0, .)`` at ``y``.
 
     The ``n`` column perturbations are evaluated in a single batched 2-D
     RHS call when the RHS supports it (see :func:`_batched_jacobian_columns`);
-    otherwise the classic one-column-per-call loop runs.
+    otherwise the classic one-column-per-call loop runs.  Callers that
+    already hold ``f0 = f(0, y)`` pass it to skip re-evaluating it.
     """
     n = y.size
-    f0 = np.asarray(rhs(0.0, y), dtype=float)
+    if f0 is None:
+        f0 = np.asarray(rhs(0.0, y), dtype=float)
     steps = eps_rel * np.maximum(np.abs(y), 1.0)
     reg = current_registry()
     if reg.enabled:
@@ -262,7 +282,9 @@ def newton_steady_state(
 
     A backtracking line search halves the step until the residual norm
     decreases (Armijo-free sufficient-decrease on ``||f||``); iterates are
-    optionally projected onto the nonnegative orthant.
+    optionally projected onto the nonnegative orthant.  Each iterate is
+    evaluated once: the accepted line-search trial's ``f`` serves as the
+    next iterate's residual and as its Jacobian's base point.
     """
     counted = _CountingRHS(rhs)
     try:
@@ -278,14 +300,14 @@ def _newton_steady_state(
 ) -> SteadyStateResult:
     opts = options or SteadyStateOptions()
     y = np.array(y0, dtype=float)
+    f = np.asarray(rhs(0.0, y), dtype=float)
     for it in range(1, opts.max_newton_iter + 1):
-        f = np.asarray(rhs(0.0, y), dtype=float)
-        res = residual_norm(rhs, y)
+        res = _scaled_residual(f, y)
         if res < opts.tol:
             return SteadyStateResult(
                 state=y, residual=res, converged=True, n_iterations=it - 1, method="newton"
             )
-        jac = _numerical_jacobian(rhs, y, opts.fd_eps)
+        jac = _numerical_jacobian(rhs, y, opts.fd_eps, f)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -305,14 +327,63 @@ def _newton_steady_state(
             return SteadyStateResult(
                 state=y, residual=res, converged=False, n_iterations=it, method="newton"
             )
-        y = y_trial
-    res = residual_norm(rhs, y)
+        y, f = y_trial, f_trial
+    res = _scaled_residual(f, y)
     return SteadyStateResult(
         state=y,
         residual=res,
         converged=res < opts.tol,
         n_iterations=opts.max_newton_iter,
         method="newton",
+    )
+
+
+def _pseudo_transient(
+    rhs: RHS, y0: np.ndarray, tol: float, opts: SteadyStateOptions
+) -> SteadyStateResult:
+    """Pseudo-transient continuation toward a stationary point.
+
+    Each step is one linearly implicit Euler step of the flow,
+    ``(I/dt - J) delta = f(y)``, with ``J`` the finite-difference Jacobian
+    at ``y``: small ``dt`` follows the flow into the attractor's basin,
+    large ``dt`` turns the step into a Newton step (Kelley & Keyes 1998).
+    An accepted step grows ``dt`` by :data:`PTC_GROWTH`; a step whose
+    ``||f||`` is non-finite or more than doubles is rejected and shrinks
+    ``dt`` by :data:`PTC_SHRINK`.  ``n_iterations`` counts accepted and
+    rejected steps, at most :data:`PTC_MAX_STEPS`.
+    """
+    y = np.array(y0, dtype=float)
+    if opts.nonnegative:
+        np.clip(y, 0.0, None, out=y)
+    f = np.asarray(rhs(0.0, y), dtype=float)
+    fnorm = float(np.linalg.norm(f))
+    res = _scaled_residual(f, y)
+    identity = np.eye(y.size)
+    dt = PTC_DT0
+    jac: np.ndarray | None = None
+    steps = 0
+    while res >= tol and steps < PTC_MAX_STEPS:
+        steps += 1
+        if jac is None:
+            jac = _numerical_jacobian(rhs, y, opts.fd_eps, f)
+        lhs = identity / dt - jac
+        try:
+            delta = np.linalg.solve(lhs, f)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(lhs, f, rcond=None)[0]
+        y_trial = y + delta
+        if opts.nonnegative:
+            np.clip(y_trial, 0.0, None, out=y_trial)
+        f_trial = np.asarray(rhs(0.0, y_trial), dtype=float)
+        fnorm_trial = float(np.linalg.norm(f_trial))
+        if not np.isfinite(fnorm_trial) or fnorm_trial > 2.0 * fnorm:
+            dt *= PTC_SHRINK
+            continue
+        y, f, fnorm, jac = y_trial, f_trial, fnorm_trial, None
+        res = _scaled_residual(f, y)
+        dt *= PTC_GROWTH
+    return SteadyStateResult(
+        state=y, residual=res, converged=res < tol, n_iterations=steps, method="ptc"
     )
 
 
@@ -433,11 +504,17 @@ def find_steady_state(
     y0: np.ndarray,
     options: SteadyStateOptions | None = None,
 ) -> SteadyStateResult:
-    """Production driver: integrate toward the attractor, then Newton-polish.
+    """Production driver: pseudo-transient continuation, then Newton-polish.
 
-    Integration supplies a basin-of-attraction-safe approach; Newton supplies
-    the final digits cheaply.  If Newton fails to improve, the integration
-    answer is returned (tagged with its own convergence status).
+    Pseudo-transient continuation (:data:`PTC_DT0` and friends) follows the
+    flow with implicit steps that lengthen geometrically, so it stays in
+    the attractor's basin as integration would, at a few Jacobian solves'
+    cost; it stops at a coarse ``max(tol, 1e-8)``.  Newton supplies the
+    final digits cheaply.  If Newton fails to improve, the coarse answer is
+    returned (tagged with its own convergence status).  ``n_iterations``
+    (and the ``ode.steady_state.iterations`` counter) is the number of
+    continuation steps, accepted and rejected, plus Newton iterations.
+    Continuation RHS work is counted as ``ode.ptc.rhs_evals``.
     """
     with current_tracer().span("ode.find_steady_state", dim=int(np.size(y0))):
         result = _find_steady_state(rhs, y0, options)
@@ -456,36 +533,22 @@ def _find_steady_state(
     options: SteadyStateOptions | None = None,
 ) -> SteadyStateResult:
     opts = options or SteadyStateOptions()
-    coarse_opts = SteadyStateOptions(
-        tol=max(opts.tol, 1e-8),
-        t_block=opts.t_block,
-        max_blocks=opts.max_blocks,
-        max_newton_iter=opts.max_newton_iter,
-        fd_eps=opts.fd_eps,
-        nonnegative=opts.nonnegative,
-    )
-    coarse = integrate_to_steady_state(rhs, y0, coarse_opts)
+    counted = _CountingRHS(rhs)
+    try:
+        coarse = _pseudo_transient(counted, y0, max(opts.tol, 1e-8), opts)
+    finally:
+        counted.publish("ode.ptc.rhs_evals")
     polished = newton_steady_state(rhs, coarse.state, opts)
-    if polished.converged and polished.residual <= coarse.residual:
-        return SteadyStateResult(
-            state=polished.state,
-            residual=polished.residual,
-            converged=True,
-            n_iterations=coarse.n_iterations + polished.n_iterations,
-            method="integrate+newton",
-            trajectory=coarse.trajectory,
-        )
-    if coarse.residual < opts.tol:
-        return coarse
-    # Neither phase met the strict tolerance: return the better of the two.
-    best = polished if polished.residual < coarse.residual else coarse
+    # Newton starts from the coarse state and only takes steps that lower
+    # ||f||, so it converges whenever the coarse answer already met tol;
+    # otherwise report the better of the two.
+    best = polished if polished.residual <= coarse.residual else coarse
     return SteadyStateResult(
         state=best.state,
         residual=best.residual,
         converged=best.residual < opts.tol,
         n_iterations=coarse.n_iterations + polished.n_iterations,
-        method="integrate+newton",
-        trajectory=coarse.trajectory,
+        method="ptc+newton",
     )
 
 
@@ -502,7 +565,7 @@ class PathResult:
     warm_hits:
         Points solved by Newton directly from the previous stationary point.
     cold_solves:
-        Points that needed the full integrate+Newton driver (always
+        Points that needed the full cold driver (always
         includes the first point unless an initial guess converged).
     """
 
@@ -534,7 +597,7 @@ def solve_path(
     where ``make_rhs(p)`` builds the RHS for one parameter point.  With
     ``warm_start`` (the default) each stationary point seeds a direct
     Newton solve at the next point -- natural parameter continuation --
-    which skips the coarse integration phase entirely whenever consecutive
+    which skips the coarse continuation phase entirely whenever consecutive
     points are close.  If Newton fails to converge from the warm guess,
     the point falls back to the cold :func:`find_steady_state` driver
     started from ``y0``, and the sweep continues.

@@ -93,7 +93,8 @@ class SteadyStateResult:
     converged:
         Whether the requested tolerance was met.
     n_iterations:
-        Iterations (Newton/Anderson) or accepted steps (integration) used.
+        Iterations (Newton/Anderson), integration blocks, or continuation
+        steps plus Newton iterations (:func:`find_steady_state`) used.
     method:
         Name of the algorithm that produced the state.
     trajectory:

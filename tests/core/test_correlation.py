@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CorrelationModel
@@ -69,6 +69,8 @@ class TestRates:
         p=st.floats(1e-6, 1.0),
         rate=st.floats(0.1, 100.0),
     )
+    # binom.pmf puts class 1 at ~1e-318 here: subnormal rates must be flushed
+    @example(K=21, p=0.9999999999999999, rate=1.1058800682079273)
     def test_identities_hold_for_arbitrary_parameters(self, K, p, rate):
         model = CorrelationModel(num_files=K, p=p, visit_rate=rate)
         rates = model.class_rates()

@@ -48,7 +48,7 @@ class TestSolvePath:
         path = solve_path(make_linear_rhs, PARAMS, np.zeros(2))
         assert path.cold_solves == 1
         assert path.warm_hits == len(PARAMS) - 1
-        assert path.results[0].method == "integrate+newton"
+        assert path.results[0].method == "ptc+newton"
         assert all(r.method == "newton" for r in path.results[1:])
 
     def test_cold_path_matches_warm_within_tolerance(self):

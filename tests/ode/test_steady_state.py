@@ -117,7 +117,7 @@ class TestFindSteadyState:
         result = find_steady_state(linear_rhs, np.zeros(2), opts)
         assert result.converged
         assert result.residual < 1e-12
-        assert result.method == "integrate+newton"
+        assert result.method == "ptc+newton"
 
     def test_works_on_nonlinear_system(self):
         result = find_steady_state(logistic_rhs, np.array([0.5]))
