@@ -2,9 +2,10 @@
 
 Two guards keep the hot path honest in CI:
 
-* a wall-clock speedup pin of the default path (dirty-row incremental
-  recomputation + deferred windows) against the fully-eager oracle
-  (``incremental_rates=False, deferred_integration=False``), and
+* a wall-clock speedup pin of the production path (dirty-row incremental
+  recomputation + deferred windows) against the fully-eager oracle (run
+  under ``repro.sim.reference.oracle_mode()`` and ``eager_integration()``:
+  full kernels, per-event dispatch, no windows), and
 * a counter guard asserting completions actually retire through the
   windowed per-row path -- a silent fallback to full kernel passes keeps
   results correct and may even pass a generous timing pin on fast
@@ -20,6 +21,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core import CorrelationModel, PAPER_PARAMETERS, Scheme
 from repro.sim import ScenarioConfig, run_scenario
+from repro.sim.reference import eager_integration, oracle_mode
 
 #: measured ~2.5x solo and ~1.8x inside the full benchmark session on the
 #: reference container; the margin absorbs CI noise (the counter guard
@@ -44,9 +46,9 @@ def _config(**kw):
 
 def test_bench_incremental_speedup(benchmark, bench_registry):
     """Default path vs eager oracle on a seed-heavy MTCD workload."""
-    oracle_config = _config(incremental_rates=False, deferred_integration=False)
     started = time.perf_counter()
-    oracle = run_scenario(oracle_config)
+    with oracle_mode(), eager_integration():
+        oracle = run_scenario(_config())
     oracle_s = time.perf_counter() - started
 
     fast_s = []

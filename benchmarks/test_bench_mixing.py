@@ -9,9 +9,9 @@ incremental topology state and the batched dispatcher, so two guards ride
 along (mirroring ``test_bench_incremental.py``):
 
 * a wall-clock speedup pin of one representative leg against the
-  fully-per-event, forced-full oracle (``incremental_rates=False,
-  incremental_dispatch=False``), timed in-process so machine noise
-  cancels, and
+  fully-per-event, forced-full oracle (the leg run under
+  ``repro.sim.reference.oracle_mode()``), timed in-process so machine
+  noise cancels, and
 * a counter guard asserting the leg serves its topology from the
   maintained state -- at most one full rebuild per swarm -- and actually
   dispatches in batches.  A silent fallback keeps results correct and
@@ -31,6 +31,7 @@ from repro.experiments import mixing
 from repro.sim import SeedPolicy, SimulationSystem, make_behavior
 from repro.sim.arrivals import ArrivalProcess
 from repro.sim.behaviors import BehaviorKind
+from repro.sim.reference import oracle_mode
 
 #: measured ~2.9x solo on the reference container; the margin absorbs CI
 #: noise (the counter guard below is the sharp detector for a degraded
@@ -45,7 +46,7 @@ LEG_T_END = 2500.0
 LEG_WARMUP = 700.0
 
 
-def _run_leg(**system_kw):
+def _run_leg():
     """One neighbour-limited mixing leg, as ``mixing.run`` builds it."""
     single = PAPER_PARAMETERS.with_(num_files=1)
     corr = CorrelationModel(num_files=1, p=0.9, visit_rate=1.0)
@@ -55,7 +56,6 @@ def _run_leg(**system_kw):
         gamma=single.gamma,
         num_classes=1,
         neighbor_limit=LEG_LIMIT,
-        **system_kw,
     )
     system.add_group((0,), SeedPolicy.SUBTORRENT)
     arrivals = ArrivalProcess(
@@ -83,7 +83,8 @@ def test_bench_mixing(benchmark, results_dir):
 def test_bench_mixing_speedup(benchmark, bench_registry):
     """Default path vs the per-event forced-full oracle on one leg."""
     started = time.perf_counter()
-    oracle = _run_leg(incremental_rates=False, incremental_dispatch=False)
+    with oracle_mode():
+        oracle = _run_leg()
     oracle_s = time.perf_counter() - started
 
     fast_s = []
@@ -99,7 +100,7 @@ def test_bench_mixing_speedup(benchmark, bench_registry):
     benchmark.extra_info["speedup"] = round(speedup, 2)
     bench_registry.inc("bench.mixing.speedup_x100", round(100 * speedup))
 
-    # both switches are bit-exact by contract, so the trajectories are
+    # the oracle is bit-exact by contract, so the trajectories are
     # *identical*, not merely statistically close
     assert fast.n_users_completed == oracle.n_users_completed
     fast_T = float(np.nanmean(fast.entry_download_time_by_class))

@@ -219,7 +219,10 @@ def _batched_jacobian_columns(
     scalar evaluation before trusting the batch: an RHS written for 1-D
     states may broadcast into the right *shape* while computing the wrong
     values (e.g. a ``sum`` over all elements instead of per column).
-    Verified capability is memoised per underlying function.
+    Verified capability is memoised per underlying function.  The probe
+    calls the function beneath any :class:`_CountingRHS` wrappers, so
+    whether the process-wide memo was warm never shows in the solvers'
+    ``rhs_evals`` counters.
     """
     capable = _batch_capability(rhs)
     if capable is False:
@@ -233,7 +236,10 @@ def _batched_jacobian_columns(
         _remember_batch_capability(rhs, False)
         return None
     if capable is None:
-        reference = np.asarray(rhs(0.0, yp[:, 0].copy()), dtype=float)
+        probe = rhs
+        while isinstance(probe, _CountingRHS):
+            probe = probe.rhs
+        reference = np.asarray(probe(0.0, yp[:, 0].copy()), dtype=float)
         if not np.allclose(fp[:, 0], reference, rtol=1e-9, atol=1e-12):
             _remember_batch_capability(rhs, False)
             return None

@@ -2,8 +2,7 @@
 
 Before the scenario DSL there were three independent config surfaces:
 
-* the flat simulator JSON of ``python -m repro simulate`` (handled by
-  ``repro.sim.config_io``),
+* the flat simulator JSON of ``python -m repro simulate``,
 * the chunk engine's :class:`~repro.chunks.config.ChunkSwarmConfig`
   keyword plumbing,
 * ad-hoc driver kwargs.
@@ -12,7 +11,10 @@ This module keeps the first two alive on top of the *one* validation and
 serialisation layer (:mod:`repro.scenario.schema`), so every rejection is
 path-qualified and the allowed-key sets are derived from the dataclasses
 themselves -- they can no longer drift from the configs they describe.
-``repro.sim.config_io`` re-exports these functions as deprecated shims.
+``ScenarioConfig`` carries no engine toggles, so the flat document has
+none either: the DES oracles are test-facing hooks in
+:mod:`repro.sim.reference`, and a document naming one of the toggle keys
+removed in 1.12.0 is rejected as an unknown key.
 """
 
 from __future__ import annotations

@@ -154,9 +154,6 @@ def compile_sim(spec: ScenarioSpec) -> ScenarioConfig:
             arrivals_enabled=spec.arrivals.process == "poisson",
             seed_lifetime_distribution=spec.churn.seed_lifetime,
             neighbor_limit=sim.neighbor_limit,
-            incremental_rates=sim.incremental_rates,
-            incremental_dispatch=sim.incremental_dispatch,
-            deferred_integration=sim.deferred_integration,
         )
     except ValueError as exc:
         # ScenarioConfig re-validates cross-field constraints the spec

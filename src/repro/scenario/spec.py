@@ -286,16 +286,13 @@ class StreamingSpec:
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Horizon, sampling and engine toggles of the discrete-event backend."""
+    """Horizon, sampling and tracker limit of the discrete-event backend."""
 
     t_end: float = 4000.0
     warmup: float = 1000.0
     seed: int = 0
     sample_interval: float = 10.0
     neighbor_limit: int | None = None
-    incremental_rates: bool = True
-    incremental_dispatch: bool = True
-    deferred_integration: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.warmup < self.t_end:

@@ -81,11 +81,12 @@ class EventHandle:
     cancelling an already-fired handle is a no-op and the queue's
     tombstone count stays exact.
 
-    ``in_flight`` marks a handle the batched dispatcher has popped off the
-    heap but not yet fired.  Cancelling an in-flight handle must still
-    suppress the callback (bit-exactness against the per-event oracle) but
-    must *not* count a tombstone -- the entry is no longer in the heap, so
-    there is nothing for :meth:`EventQueue._compact` to reclaim.
+    ``in_flight`` marks a handle :meth:`Simulator.run_until` has popped off
+    the heap but not yet fired.  Cancelling an in-flight handle must still
+    suppress the callback (bit-exactness against the per-event oracle,
+    :func:`repro.sim.reference.run_until_per_event`) but must *not* count a
+    tombstone -- the entry is no longer in the heap, so there is nothing
+    for :meth:`EventQueue._compact` to reclaim.
     """
 
     __slots__ = ("time", "cancelled", "in_flight")
@@ -188,27 +189,21 @@ class Simulator:
     :attr:`now`.  ``run_until`` processes events with ``time <= t_end`` and
     then sets the clock to ``t_end`` exactly.
 
-    With ``incremental_dispatch=True`` (the default) ``run_until`` drains
-    *runs* of events from the heap front in one go -- up to
-    :data:`DISPATCH_BATCH` at a time -- instead of paying the
-    peek/pop/bookkeeping cycle per event.  Fired order is identical to the
+    ``run_until`` drains *runs* of events from the heap front in one go --
+    up to :data:`DISPATCH_BATCH` at a time -- instead of paying the
+    peek/pop/bookkeeping cycle per event.  Fired order is identical to a
     per-event loop: the remaining run is merged against the live heap top
     after every callback, so an event scheduled mid-run that sorts earlier
-    than the rest of the run fires first, exactly as the oracle would.
-    ``incremental_dispatch=False`` forces the per-event oracle loop;
-    results are bit-identical by contract
-    (``tests/sim/test_incremental.py`` pins it).
+    than the rest of the run fires first.  The per-event loop itself lives
+    in :func:`repro.sim.reference.run_until_per_event` as the test oracle
+    (``tests/sim/test_engine.py`` and ``tests/sim/test_incremental.py``
+    pin the two bit-identical).
     """
 
-    def __init__(self, *, incremental_dispatch: bool = True) -> None:
+    def __init__(self) -> None:
         self.queue = EventQueue()
         self.now = 0.0
-        self.incremental_dispatch = incremental_dispatch
         self._events_processed = 0
-        #: batched-dispatch runs drained so far (0 under the oracle loop)
-        self.batches = 0
-        #: events dispatched through those runs (``sim.events.batched``)
-        self.batched_events = 0
 
     @property
     def events_processed(self) -> int:
@@ -242,66 +237,29 @@ class Simulator:
         (N+1)-th live event within ``t_end`` raises ``RuntimeError``.  On
         raise the clock stays at the last fired event's time and
         :attr:`events_processed` counts exactly the callbacks that ran.
-        """
-        if t_end < self.now:
-            raise ValueError(f"t_end={t_end} is before now={self.now}")
-        reg = current_registry()
-        if reg.enabled:
-            if self.incremental_dispatch:
-                return self._run_until_batched(t_end, max_events, reg)
-            return self._run_until_instrumented(t_end, max_events, reg)
-        if self.incremental_dispatch:
-            return self._run_until_batched(t_end, max_events, None)
-        fired = 0
-        while True:
-            t_next = self.queue.next_time()
-            if t_next > t_end:
-                break
-            if max_events is not None and fired >= max_events:
-                raise RuntimeError(
-                    f"exceeded max_events={max_events} before reaching t_end={t_end}"
-                )
-            popped = self.queue.pop()
-            if popped is None:
-                break
-            event_time, callback = popped
-            # The clock never runs backwards even if an event was scheduled
-            # "now" while another event at the same timestamp was firing.
-            self.now = max(self.now, event_time)
-            callback()
-            fired += 1
-            self._events_processed += 1
-        self.now = t_end
-        return fired
-
-    def _run_until_batched(self, t_end: float, max_events: int | None, reg) -> int:
-        """``run_until`` draining batches of heap entries per refill.
 
         The inner loop is a two-way merge between the drained run (already
         sorted -- it came off the heap in order) and the live heap top, so
         callbacks that schedule new events inside the run's time span keep
-        the exact oracle firing order without any push-back churn.  When
-        ``reg`` is a live registry, instrumentation is aggregated per
-        batch (one ``perf_counter`` pair and one registry call per metric
-        per run instead of several per event) with event counts preserved
+        the exact per-event firing order without any push-back churn.
+        Under an enabled registry, instrumentation is aggregated per batch
+        (one ``perf_counter`` pair and one registry call per metric per
+        run instead of several per event) with event counts preserved
         exactly.
         """
+        if t_end < self.now:
+            raise ValueError(f"t_end={t_end} is before now={self.now}")
+        reg = current_registry()
         queue = self.queue
         heap = queue._heap  # _compact mutates in place; binding stays valid
         pop, push = heapq.heappop, heapq.heappush
-        instrumented = reg is not None
+        instrumented = reg.enabled
         if instrumented:
             tracer_span = current_tracer().span("sim.run_until", t_end=t_end)
             tracer_span.__enter__()
             cancelled_before = queue.cancelled_total
             compactions_before = queue.compactions
             started = time.perf_counter()
-            batch_t0 = started
-            depth_count = 0
-            depth_total = 0
-            depth_min = math.inf
-            depth_max = -math.inf
-            cb_counts: dict[str, int] = {}
         fired = 0
         batch: list = []
         try:
@@ -318,99 +276,86 @@ class Simulator:
                 n = len(batch)
                 if not n:
                     break
-                self.batches += 1
-                self.batched_events += n
                 if instrumented:
                     reg.inc("sim.events.batched", n)
                     reg.observe("sim.events.batch_size", n)
+                    depth_count = depth_total = 0
+                    depth_min, depth_max = math.inf, -math.inf
+                    cb_counts: dict[str, int] = {}
                     batch_t0 = time.perf_counter()
                 i = 0
-                while i < n:
-                    # Merge against the heap: a callback may have scheduled
-                    # an event sorting before the rest of the run.  Entry
-                    # tuples start (time, priority, seq) with seq unique, so
-                    # tuple comparison never reaches the handles.
-                    if heap and heap[0] < batch[i]:
-                        item = heap[0]
-                        handle = item[3]
-                        if handle.cancelled:
+                try:
+                    while i < n:
+                        # Merge against the heap: a callback may have
+                        # scheduled an event sorting before the rest of the
+                        # run.  Entry tuples start (time, priority, seq)
+                        # with seq unique, so tuple comparison never
+                        # reaches the handles.
+                        if heap and heap[0] < batch[i]:
+                            item = heap[0]
+                            handle = item[3]
+                            if handle.cancelled:
+                                pop(heap)
+                                queue._n_tombstones -= 1
+                                continue
+                            if max_events is not None and fired >= max_events:
+                                raise RuntimeError(
+                                    f"exceeded max_events={max_events} before "
+                                    f"reaching t_end={t_end}"
+                                )
                             pop(heap)
-                            queue._n_tombstones -= 1
-                            continue
-                        if max_events is not None and fired >= max_events:
-                            raise RuntimeError(
-                                f"exceeded max_events={max_events} before "
-                                f"reaching t_end={t_end}"
-                            )
-                        pop(heap)
-                    else:
-                        item = batch[i]
-                        handle = item[3]
-                        if handle.cancelled:
+                        else:
+                            item = batch[i]
+                            handle = item[3]
+                            if handle.cancelled:
+                                handle.in_flight = False
+                                i += 1
+                                continue
+                            if max_events is not None and fired >= max_events:
+                                raise RuntimeError(
+                                    f"exceeded max_events={max_events} before "
+                                    f"reaching t_end={t_end}"
+                                )
                             handle.in_flight = False
                             i += 1
-                            continue
-                        if max_events is not None and fired >= max_events:
-                            raise RuntimeError(
-                                f"exceeded max_events={max_events} before "
-                                f"reaching t_end={t_end}"
-                            )
-                        handle.in_flight = False
-                        i += 1
-                    handle.cancelled = True  # spent: late cancels are no-ops
-                    event_time = item[0]
-                    if event_time > self.now:
-                        self.now = event_time
-                    if instrumented:
-                        depth = len(heap) + n - i
-                        depth_count += 1
-                        depth_total += depth
-                        if depth < depth_min:
-                            depth_min = depth
-                        if depth > depth_max:
-                            depth_max = depth
-                        metric = _callback_metric(item[4])
-                        cb_counts[metric] = cb_counts.get(metric, 0) + 1
-                    item[4]()
-                    fired += 1
-                if instrumented and depth_count:
-                    # Per-callback-type timing attributed evenly across the
-                    # run (one timer pair per batch, counts exact), plus
-                    # the queue-depth trace, one registry call per metric.
-                    elapsed = time.perf_counter() - batch_t0
-                    reg.observe_many(
-                        "sim.queue_depth",
-                        depth_count,
-                        depth_total,
-                        depth_min,
-                        depth_max,
-                    )
-                    mean = elapsed / depth_count
-                    for metric, count in cb_counts.items():
-                        reg.observe_many(metric, count, count * mean, mean, mean)
-                    depth_count = 0
-                    depth_total = 0
-                    depth_min = math.inf
-                    depth_max = -math.inf
-                    cb_counts.clear()
+                        handle.cancelled = True  # spent: late cancels are no-ops
+                        event_time = item[0]
+                        if event_time > self.now:
+                            self.now = event_time
+                        if instrumented:
+                            depth = len(heap) + n - i
+                            depth_count += 1
+                            depth_total += depth
+                            if depth < depth_min:
+                                depth_min = depth
+                            if depth > depth_max:
+                                depth_max = depth
+                            metric = _callback_metric(item[4])
+                            cb_counts[metric] = cb_counts.get(metric, 0) + 1
+                        item[4]()
+                        fired += 1
+                finally:
+                    if instrumented and depth_count:
+                        # Per-callback-type timing attributed evenly across
+                        # the run (one timer pair per batch, counts exact),
+                        # plus the queue-depth trace, one registry call per
+                        # metric -- also for a run cut short by a
+                        # max_events raise, so histogram counts total
+                        # ``fired`` exactly.
+                        mean = (time.perf_counter() - batch_t0) / depth_count
+                        reg.observe_many(
+                            "sim.queue_depth",
+                            depth_count,
+                            depth_total,
+                            depth_min,
+                            depth_max,
+                        )
+                        for metric, count in cb_counts.items():
+                            reg.observe_many(metric, count, count * mean, mean, mean)
             self.now = t_end
         finally:
             self._events_processed += fired
             if instrumented:
-                if depth_count:
-                    # max_events raised mid-run: flush the partial batch so
-                    # histogram counts still total ``fired`` exactly.
-                    elapsed = time.perf_counter() - batch_t0
-                    reg.observe_many(
-                        "sim.queue_depth",
-                        depth_count,
-                        depth_total,
-                        depth_min,
-                        depth_max,
-                    )
-                    mean = elapsed / depth_count
-                    for metric, count in cb_counts.items():
-                        reg.observe_many(metric, count, count * mean, mean, mean)
                 reg.inc("sim.events", fired)
                 reg.inc("sim.run_until_calls")
                 reg.inc(
@@ -423,60 +368,10 @@ class Simulator:
                 tracer_span.__exit__(None, None, None)
             # On a max_events raise, return unfired in-flight entries so the
             # queue is intact for inspection (clock stays at the last fired
-            # event's time, exactly like the oracle loop).
-            if batch:
-                remaining = [it for it in batch if it[3].in_flight]
-                if remaining:
-                    for item in remaining:
-                        item[3].in_flight = False
-                        if not item[3].cancelled:
-                            push(heap, item)
-        return fired
-
-    def _run_until_instrumented(
-        self, t_end: float, max_events: int | None, reg
-    ) -> int:
-        """The ``run_until`` loop with per-callback-type metrics.
-
-        Kept separate so the un-profiled hot path has zero extra work per
-        event.  Records total events, queue depth and per-callback-type
-        timing into the active registry, plus one trace span per call.
-        """
-        fired = 0
-        queue = self.queue
-        cancelled_before = queue.cancelled_total
-        compactions_before = queue.compactions
-        with current_tracer().span("sim.run_until", t_end=t_end):
-            started = time.perf_counter()
-            while True:
-                t_next = self.queue.next_time()
-                if t_next > t_end:
-                    break
-                if max_events is not None and fired >= max_events:
-                    reg.inc("sim.events", fired)
-                    reg.observe(
-                        "sim.run_until_seconds", time.perf_counter() - started
-                    )
-                    raise RuntimeError(
-                        f"exceeded max_events={max_events} before reaching "
-                        f"t_end={t_end}"
-                    )
-                popped = self.queue.pop()
-                if popped is None:
-                    break
-                event_time, callback = popped
-                self.now = max(self.now, event_time)
-                reg.observe("sim.queue_depth", len(self.queue))
-                t0 = time.perf_counter()
-                callback()
-                reg.observe(_callback_metric(callback), time.perf_counter() - t0)
-                fired += 1
-                self._events_processed += 1
-            self.now = t_end
-            elapsed = time.perf_counter() - started
-        reg.inc("sim.events", fired)
-        reg.inc("sim.run_until_calls")
-        reg.inc("sim.queue.cancelled", queue.cancelled_total - cancelled_before)
-        reg.inc("sim.queue.compactions", queue.compactions - compactions_before)
-        reg.observe("sim.run_until_seconds", elapsed)
+            # event's time, exactly like the per-event loop).
+            for item in batch:
+                if item[3].in_flight:
+                    item[3].in_flight = False
+                    if not item[3].cancelled:
+                        push(heap, item)
         return fired

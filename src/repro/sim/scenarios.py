@@ -72,20 +72,6 @@ class ScenarioConfig:
         Set ``False`` for pure-drain studies of an initial burst.
     seed_lifetime_distribution:
         Passed to :class:`SimulationSystem` ("exponential"/"fixed"/"uniform").
-    incremental_rates:
-        Allow the system's incremental (dirty-row) rate recomputation path.
-        Disable to force a full kernel pass on every flush -- results must
-        be identical; this exists for equivalence testing and debugging.
-    incremental_dispatch:
-        Allow the simulator's batched event dispatch.  Disable to force
-        the per-event dispatch loop -- results must be identical; this
-        exists for equivalence testing and debugging.
-    deferred_integration:
-        Allow the system to defer per-row progress integration inside
-        :class:`~repro.sim.bandwidth.RateWindow` windows.  Disable to
-        advance every row eagerly on each flush -- results agree up to
-        float summation order; this exists for equivalence testing and
-        debugging.
     """
 
     scheme: Scheme
@@ -105,9 +91,6 @@ class ScenarioConfig:
     arrivals_enabled: bool = True
     seed_lifetime_distribution: str = "exponential"
     neighbor_limit: int | None = None
-    incremental_rates: bool = True
-    incremental_dispatch: bool = True
-    deferred_integration: bool = True
 
     def __post_init__(self) -> None:
         if self.correlation.num_files != self.params.num_files:
@@ -155,9 +138,6 @@ def build_simulation(
         rng=RandomStreams(config.seed),
         seed_lifetime_distribution=config.seed_lifetime_distribution,
         neighbor_limit=config.neighbor_limit,
-        incremental_rates=config.incremental_rates,
-        incremental_dispatch=config.incremental_dispatch,
-        deferred_integration=config.deferred_integration,
     )
 
     if config.scheme in (Scheme.MTCD, Scheme.MTSD):

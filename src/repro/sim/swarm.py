@@ -380,9 +380,6 @@ class Swarm:
         #: lazily by the first full topology rebuild); ``None`` until then
         #: or after a structural desync
         self._topo_state: _TopoState | None = None
-        #: when False the topology is rebuilt from scratch on every version
-        #: change -- the forced-full oracle mode (``incremental_rates=False``)
-        self.topo_incremental = True
         #: (store.version, total_cap, share) from the last full-mesh kernel
         #: pass; reused by :meth:`recompute_rates_incremental` while swarm
         #: membership is unchanged (the share vector only depends on it)
@@ -1002,7 +999,7 @@ class Swarm:
         changed topology by *gathering* from its live matrices -- O(n)
         row slices instead of the O(edges + n^2) reconstruction -- so a
         full rebuild only happens when the state was desynced by a direct
-        (unjournalled) mutation or disabled via ``topo_incremental``.
+        (unjournalled) mutation.
 
         Counters: ``sim.kernel.neighbor.incremental`` counts product-cache
         hits and state gathers, ``sim.kernel.neighbor.full`` /
@@ -1124,10 +1121,9 @@ class Swarm:
         else:
             connectivity = bandwidth = virtual_vec = None
 
-        if self.topo_incremental:
-            self._topo_state = _TopoState(
-                n, adjacency, user_ids, unique_ids, reach, neighbors, versions
-            )
+        self._topo_state = _TopoState(
+            n, adjacency, user_ids, unique_ids, reach, neighbors, versions
+        )
 
         topology = (has_partner, connectivity, bandwidth, virtual_vec)
         self._topology_cache = (versions, topology)

@@ -104,35 +104,22 @@ class SimulationSystem:
         only along sampled connections.  Only supported with
         ``SUBTORRENT`` groups (the ``GLOBAL_POOL`` policy *is* the mixing
         assumption).
-    incremental_rates:
-        When ``True`` (default) flushes reuse cached capacity shares for
-        seed-capacity and tit-for-tat changes, falling back to the full
-        kernels on membership changes or cache misses.  ``False`` forces
-        the full recompute on every flush -- the oracle mode the
-        incremental-vs-full equivalence suite compares against; both
-        modes produce bit-identical trajectories (the deferred-window
-        layer below is common to both, so it cancels out of the
-        comparison).  Also gates the incremental neighbour-topology
-        state on tracker-limited swarms: ``False`` forces a full
-        ``_neighbor_topology`` rebuild on every structural change (the
-        forced-full oracle of the neighbour twin suite).
-    incremental_dispatch:
-        When ``True`` (default) :meth:`Simulator.run_until` drains events
-        in batches (see ``DISPATCH_BATCH``), amortising per-event Python
-        and instrumentation bookkeeping; firing order and simulation
-        results are identical.  ``False`` forces the per-event dispatch
-        loop -- the oracle mode the batched-vs-per-event equivalence
-        suite compares against.
-    deferred_integration:
-        When ``True`` (default) each rate domain opens a
-        :class:`~repro.sim.bandwidth.RateWindow` after every exact flush:
-        seed-capacity changes and joins then update two scalars instead
-        of every row, and per-row progress is only folded in at
-        completion events (or when something reads an entry's progress).
-        ``False`` integrates eagerly on every event -- the pre-window
-        behaviour, kept for ablation and debugging.  The two settings
-        agree to float-rounding (different but equally exact summation
-        orders), not bit-for-bit.
+
+    Notes
+    -----
+    Flushes reuse cached capacity shares for seed-capacity and
+    tit-for-tat changes, falling back to the full kernels on membership
+    changes or cache misses; tracker-limited swarms maintain their
+    neighbour topology incrementally; and each rate domain opens a
+    :class:`~repro.sim.bandwidth.RateWindow` after every exact flush, so
+    seed-capacity changes and joins update two scalars instead of every
+    row and per-row progress is only folded in at completion events (or
+    when something reads an entry's progress).  None of this is
+    configurable: the oracles the equivalence suites compare against are
+    test-facing hooks in :mod:`repro.sim.reference` --
+    ``oracle_mode()`` (full kernels, full topology rebuilds, per-event
+    dispatch; bit-identical) and ``eager_integration()`` (no windows;
+    agrees to float-rounding, since the summation orders differ).
     """
 
     def __init__(
@@ -148,9 +135,6 @@ class SimulationSystem:
         seed_lifetime_distribution: str = "exponential",
         neighbor_limit: int | None = None,
         trace: "EventTrace | None" = None,
-        incremental_rates: bool = True,
-        incremental_dispatch: bool = True,
-        deferred_integration: bool = True,
     ):
         if mu <= 0 or gamma <= 0 or file_size <= 0:
             raise ValueError("mu, gamma and file_size must be positive")
@@ -167,18 +151,12 @@ class SimulationSystem:
         self.download_cap = download_cap if download_cap is not None else 10.0 * mu
         self.num_classes = num_classes
         self.rng = rng if rng is not None else RandomStreams(0)
-        self.sim = Simulator(incremental_dispatch=incremental_dispatch)
+        self.sim = Simulator()
         self.metrics = MetricsCollector(num_classes=num_classes)
         self.groups: dict[int, SwarmGroup] = {}
         self.file_to_group: dict[int, int] = {}
         self.behaviors: dict[int, "UserBehavior"] = {}
         self._dirty: dict[DomainKey, _DomainDirt] = {}
-        #: when False every flush takes the full-recompute path; the
-        #: incremental-vs-full equivalence suite runs both and compares
-        self.incremental_rates = incremental_rates
-        #: when False progress integrates eagerly on every event (no
-        #: deferred windows); see the class docstring
-        self.deferred_integration = deferred_integration
         #: per-domain materialise callbacks installed as ``store._sync``
         #: while a window is open (cached: one closure per domain)
         self._sync_callbacks: dict[DomainKey, Callable[[], None]] = {}
@@ -214,8 +192,6 @@ class SimulationSystem:
         if self.tracker is not None:
             for swarm in group.swarms.values():
                 swarm.neighbor_aware = True
-                # the forced-full oracle disables topology maintenance too
-                swarm.topo_incremental = self.incremental_rates
         self.groups[group_id] = group
         for f in file_ids:
             self.file_to_group[f] = group_id
@@ -462,11 +438,9 @@ class SimulationSystem:
         event is left untouched when the bound did not move.  Everything
         else takes the exact path -- materialise the window if one is
         open, advance, recompute (incremental against cached shares when
-        the dirt allows it and ``incremental_rates`` is on, full
-        otherwise), re-plan the completion event -- and then opens a fresh
-        window at the new rates.
+        the dirt allows it, full otherwise), re-plan the completion event
+        -- and then opens a fresh window at the new rates.
         """
-        incremental = self.incremental_rates
         now = self.now
         reg = current_registry()
         while self._dirty:
@@ -495,7 +469,7 @@ class SimulationSystem:
                 # exactly; all rows' rates are stale, so refresh them all
                 domain.win_materialize(now)
                 dirt.seeds = True
-            use_incremental = incremental and not dirt.full and not dirt.joins
+            use_incremental = not dirt.full and not dirt.joins
             rows = None if dirt.seeds or dirt.joins else dirt.entries
             if pooled:
                 group.advance_all(now)
@@ -515,8 +489,7 @@ class SimulationSystem:
                     swarm.recompute_rates(self.eta)
                 t_next = swarm.next_completion_time()
             self._reschedule_completion(key, t_next)
-            if self.deferred_integration:
-                self._start_window(key, domain, t_next)
+            self._start_window(key, domain, t_next)
 
     def _start_window(self, key: DomainKey, domain, bound: float) -> None:
         """Open a deferred window at just-recomputed rates (best effort)."""
@@ -549,14 +522,13 @@ class SimulationSystem:
 
     def _refresh_rates(self, key: DomainKey) -> None:
         """Recompute a domain's rates in place (no completion re-plan)."""
-        incremental = self.incremental_rates
         if key[1] is None:
             group = self.groups[key[0]]
-            if not (incremental and group.recompute_rates_all_incremental()):
+            if not group.recompute_rates_all_incremental():
                 group.recompute_rates_all()
         else:
             swarm = self.groups[key[0]].swarms[key[1]]
-            if not (incremental and swarm.recompute_rates_incremental(self.eta)):
+            if not swarm.recompute_rates_incremental(self.eta):
                 swarm.recompute_rates(self.eta)
 
     def materialize_all(self) -> None:
@@ -571,9 +543,10 @@ class SimulationSystem:
                     group.win_materialize(self.now)
                     self._refresh_rates((group.group_id, None))
                 else:
-                    # no window (eager mode, or win_start refused): the
-                    # domain integrates on flush, so it may lag behind
-                    # ``now`` since the last event -- bring it current
+                    # no window (win_start refused, or eager integration
+                    # forced by a test hook): the domain integrates on
+                    # flush, so it may lag behind ``now`` since the last
+                    # event -- bring it current
                     group.advance_all(self.now)
             else:
                 for file_id, swarm in group.swarms.items():

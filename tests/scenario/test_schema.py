@@ -143,6 +143,19 @@ class TestRejection:
             ({"service": {"time_scale": 0}}, r"service: time_scale must be"),
             ({"service": {"queue_capacity": 0}}, r"service: queue_capacity"),
             ({"service": {"warp": 1}}, r"service: unknown keys"),
+            # the engine toggles removed in 1.12.0 (oracles are test hooks)
+            (
+                {"sim": {"incremental_rates": False}},
+                r"^sim: unknown keys \['incremental_rates'\]",
+            ),
+            (
+                {"sim": {"incremental_dispatch": False}},
+                r"^sim: unknown keys \['incremental_dispatch'\]",
+            ),
+            (
+                {"sim": {"deferred_integration": False}},
+                r"^sim: unknown keys \['deferred_integration'\]",
+            ),
         ],
     )
     def test_path_qualified_errors(self, mutation, path_prefix):

@@ -1,9 +1,7 @@
 """Tests for flat scenario loading and the `simulate` CLI command.
 
-The flat simulator document format now lives in
-:mod:`repro.scenario.compat` (built on the DSL's schema machinery, so
-errors are path-qualified); :mod:`repro.sim.config_io` survives as
-deprecated shims.  Both surfaces are covered here.
+The flat simulator document format lives in :mod:`repro.scenario.compat`
+(built on the DSL's schema machinery, so errors are path-qualified).
 """
 
 from __future__ import annotations
@@ -68,6 +66,19 @@ class TestSimConfigFromDict:
             ({"seed_policy": "warp"}, r"scenario\.seed_policy: unknown SeedPolicy"),
             ({"adapt": {"warp": 1}, "scheme": "CMFSD"}, r"scenario\.adapt: unknown keys"),
             ({"t_end": "soon"}, r"scenario\.t_end: expected a number"),
+            # the engine toggles removed in 1.12.0 (oracles are test hooks)
+            (
+                {"incremental_rates": False},
+                r"scenario: unknown keys \['incremental_rates'\]",
+            ),
+            (
+                {"incremental_dispatch": False},
+                r"scenario: unknown keys \['incremental_dispatch'\]",
+            ),
+            (
+                {"deferred_integration": False},
+                r"scenario: unknown keys \['deferred_integration'\]",
+            ),
         ],
     )
     def test_rejects_typos_with_paths(self, mutation, match):
@@ -76,7 +87,7 @@ class TestSimConfigFromDict:
 
     def test_allowed_keys_track_the_dataclass(self):
         """The allowed-key set is derived from ScenarioConfig, not hardcoded."""
-        with pytest.raises(SpecError, match="deferred_integration") as err:
+        with pytest.raises(SpecError, match="neighbor_limit") as err:
             sim_config_from_dict(minimal_doc(bogus_key=1))
         assert "allowed:" in str(err.value)
 
@@ -89,32 +100,6 @@ class TestSimConfigFromDict:
     def test_missing_p(self):
         with pytest.raises(SpecError, match="correlation 'p'"):
             sim_config_from_dict(minimal_doc(workload={"visit_rate": 1.0}))
-
-
-class TestDeprecatedShims:
-    def test_scenario_from_dict_warns_and_delegates(self):
-        import repro.sim.config_io as config_io
-
-        config_io._warned.discard("scenario_from_dict")
-        with pytest.deprecated_call(match="sim_config_from_dict"):
-            config = config_io.scenario_from_dict(minimal_doc())
-        assert config.scheme is Scheme.MTSD
-        # ... but only once per process
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config_io.scenario_from_dict(minimal_doc())
-
-    def test_load_scenario_warns_and_delegates(self, tmp_path):
-        import repro.sim.config_io as config_io
-
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(minimal_doc()))
-        config_io._warned.discard("load_scenario")
-        with pytest.deprecated_call(match="load_sim_config"):
-            config = config_io.load_scenario(path)
-        assert config.t_end == 800
 
 
 class TestSummaryRoundTrip:

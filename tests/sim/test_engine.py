@@ -1,4 +1,9 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event engine.
+
+Equivalence cases run the production ``Simulator.run_until`` (batched
+dispatch) against the per-event oracle
+:func:`repro.sim.reference.run_until_per_event` on identical workloads.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,14 @@ import math
 import pytest
 
 from repro.sim import EventQueue, Simulator
+from repro.sim.reference import run_until_per_event
+
+
+def advance(sim: Simulator, t_end: float, *, per_event: bool, max_events=None) -> int:
+    """``run_until`` through the production loop or the per-event oracle."""
+    if per_event:
+        return run_until_per_event(sim, t_end, max_events=max_events)
+    return sim.run_until(t_end, max_events=max_events)
 
 
 class TestEventQueue:
@@ -175,6 +188,37 @@ class TestSimulator:
         assert order == ["first", "second"]
 
 
+class TestPerEventOracle:
+    """The oracle loop keeps ``run_until``'s error and ``max_events`` contract."""
+
+    def test_cannot_run_backwards(self):
+        sim = Simulator()
+        run_until_per_event(sim, 5.0)
+        with pytest.raises(ValueError, match="before now"):
+            run_until_per_event(sim, 1.0)
+
+    def test_max_events_exact_boundary_does_not_raise(self):
+        sim = Simulator()
+        for k in range(5):
+            sim.schedule_at(float(k), lambda: None)
+        assert run_until_per_event(sim, 10.0, max_events=5) == 5
+        assert sim.now == 10.0
+
+    def test_max_events_raise_keeps_clock_and_counter_consistent(self):
+        sim = Simulator()
+        fired = []
+        for k in range(4):
+            sim.schedule_at(float(k), lambda k=k: fired.append(k))
+        with pytest.raises(RuntimeError, match="max_events=2"):
+            run_until_per_event(sim, 10.0, max_events=2)
+        assert fired == [0, 1]
+        assert sim.now == 1.0
+        assert sim.events_processed == 2
+        assert run_until_per_event(sim, 10.0) == 2
+        assert sim.events_processed == 4
+        assert sim.now == 10.0
+
+
 class TestTombstoneCompaction:
     """Cancel-heavy workloads must not grow the heap past ~2x live events."""
 
@@ -295,8 +339,8 @@ class TestBatchedDispatchCancelExactness:
         # timestamp as the cancelling callback, so under per-event dispatch
         # it would be a heap tombstone but under batched dispatch it is
         # already in flight.  Both must suppress it identically.
-        for incremental in (False, True):
-            sim = Simulator(incremental_dispatch=incremental)
+        for per_event in (True, False):
+            sim = Simulator()
             fired = []
             handles = [
                 sim.schedule_at(1.0, lambda k=k: fired.append(k)) for k in range(6)
@@ -308,14 +352,14 @@ class TestBatchedDispatchCancelExactness:
                     sim.cancel(h)
 
             sim.schedule_at(1.0, killer, priority=-1)  # fires first at t=1
-            sim.run_until(2.0)
+            advance(sim, 2.0, per_event=per_event)
             assert fired == ["killer", 0, 1, 2], fired
             assert len(sim.queue) == 0
             assert sim.queue._n_tombstones == _live_tombstones(sim.queue) == 0
 
     def test_cancel_then_reschedule_same_timestamp_keeps_oracle_order(self):
-        def run(incremental: bool) -> list:
-            sim = Simulator(incremental_dispatch=incremental)
+        def run(per_event: bool) -> list:
+            sim = Simulator()
             fired = []
             hc = sim.schedule_at(1.0, lambda: fired.append("stale"))
 
@@ -326,11 +370,11 @@ class TestBatchedDispatchCancelExactness:
 
             sim.schedule_at(1.0, replace, priority=-1)
             sim.schedule_at(1.5, lambda: fired.append("later"))
-            sim.run_until(2.0)
+            advance(sim, 2.0, per_event=per_event)
             return fired
 
-        oracle = run(False)
-        batched = run(True)
+        oracle = run(True)
+        batched = run(False)
         assert oracle == batched == ["replace", "fresh", "later"]
 
     def test_tombstone_count_stays_exact_through_compaction_in_batch(self):
@@ -383,9 +427,9 @@ class TestBatchedDispatchCancelExactness:
     def test_randomized_dispatch_equivalence_with_cancel_churn(self):
         import random
 
-        def run(incremental: bool) -> tuple:
+        def run(per_event: bool) -> tuple:
             rng = random.Random(7)
-            sim = Simulator(incremental_dispatch=incremental)
+            sim = Simulator()
             log = []
             handles = []
 
@@ -403,11 +447,11 @@ class TestBatchedDispatchCancelExactness:
                 handles.append(
                     sim.schedule_at(rng.uniform(0.0, 5.0), lambda u=uid: act(u))
                 )
-            fired = sim.run_until(8.0)
+            fired = advance(sim, 8.0, per_event=per_event)
             return fired, log, sim.events_processed, len(sim.queue._heap)
 
-        oracle = run(False)
-        batched = run(True)
+        oracle = run(True)
+        batched = run(False)
         assert oracle[1] == batched[1]  # identical firing sequence
         assert oracle[0] == batched[0]
         assert oracle[2] == batched[2]
@@ -441,18 +485,18 @@ class TestResumeAfterRaiseExactness:
         for uid in range(40):
             handles.append(sim.schedule_at(rng.uniform(0.0, 5.0), lambda u=uid: act(u)))
 
-    def _run(self, incremental: bool, max_events: int | None):
+    def _run(self, per_event: bool, max_events: int | None):
         import random
 
         rng = random.Random(1234)
-        sim = Simulator(incremental_dispatch=incremental)
+        sim = Simulator()
         log: list = []
         handles: list = []
         self._churn_workload(sim, rng, log, handles)
         raises = 0
         while True:
             try:
-                sim.run_until(8.0, max_events=max_events)
+                advance(sim, 8.0, per_event=per_event, max_events=max_events)
             except RuntimeError:
                 raises += 1
                 # The raise unwound mid-batch: nothing may be left marked
@@ -465,9 +509,9 @@ class TestResumeAfterRaiseExactness:
         return log, sim.events_processed, raises
 
     def test_resumed_batched_run_matches_per_event_oracle(self):
-        oracle_log, oracle_fired, _ = self._run(incremental=False, max_events=None)
+        oracle_log, oracle_fired, _ = self._run(per_event=True, max_events=None)
         for max_events in (1, 7, 37):
-            log, fired, raises = self._run(incremental=True, max_events=max_events)
+            log, fired, raises = self._run(per_event=False, max_events=max_events)
             assert raises > 0  # the workload genuinely exercised resume
             assert log == oracle_log
             assert fired == oracle_fired

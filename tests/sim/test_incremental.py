@@ -1,26 +1,31 @@
 """Equivalence suite for the incremental rate paths.
 
-Three layers of guarantees, from strongest to loosest:
+The DES has one production path; the oracles it is held to are the
+test-facing hooks of :mod:`repro.sim.reference`.  Three layers of
+guarantees, from strongest to loosest:
 
-* **Incremental vs. forced-full** (``incremental_rates`` True/False) must be
-  *bit-exact*: both modes share the deferred-integration windows and differ
-  only in which materialisation kernel refreshes rates, so every counter,
-  rate and completion time must match to the last bit.
+* **Production vs. ``oracle_mode()``** must be *bit-exact*: the oracle
+  swaps in the full rate kernels, a full neighbour-topology rebuild per
+  epoch and per-event dispatch, while the deferred-integration windows are
+  common to both sides -- so every counter, rate and completion time must
+  match to the last bit.
+* **Batched vs. per-event dispatch** (only ``Simulator.run_until``
+  replaced by :func:`repro.sim.reference.run_until_per_event`) changes how
+  events are popped off the queue, never what fires or in what order, so
+  it is held to the same bit-exact standard in isolation (see
+  :class:`TestDispatchEquivalence`).
 * **Scalar vs. vector** kernel selection is an internal cutoff
   (``SCALAR_KERNEL_CUTOFF``) with expression-identical arithmetic; it is
   exercised implicitly by running both small and large swarms through
   layer one.
-* **Batched vs. per-event dispatch** (``incremental_dispatch`` True/False)
-  only changes how events are popped off the queue, never what fires or
-  in what order, so it is held to the same bit-exact standard as layer
-  one (see :class:`TestDispatchEquivalence`).
-* **Deferred vs. eager** (``deferred_integration`` True/False) changes
-  float summation order (one fused fold vs. many per-event advances), so
-  scripted scenarios agree to tight tolerances rather than bit-for-bit.
+* **Deferred vs. ``eager_integration()``** changes float summation order
+  (one fused fold vs. many per-event advances), so scripted scenarios
+  agree to tight tolerances rather than bit-for-bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import random
@@ -34,6 +39,8 @@ from repro.core.parameters import PAPER_PARAMETERS
 from repro.core.schemes import Scheme
 from repro.sim import SeedPolicy, SimulationSystem, make_behavior
 from repro.sim.behaviors import BehaviorKind
+from repro.sim.engine import Simulator
+from repro.sim.reference import eager_integration, oracle_mode, run_until_per_event
 from repro.sim.scenarios import ScenarioConfig, run_scenario
 
 MU, ETA, GAMMA = 0.02, 0.5, 0.05
@@ -55,7 +62,15 @@ def assert_summary_bitexact(a, b) -> None:
             assert x == y, f.name
 
 
-def scenario(scheme: Scheme, *, incremental: bool, deferred: bool = True, **kw):
+@contextlib.contextmanager
+def per_event_dispatch():
+    """Swap only the dispatch loop for the per-event oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "run_until", run_until_per_event)
+        yield
+
+
+def scenario(scheme: Scheme, **kw):
     corr = CorrelationModel(num_files=PAPER_PARAMETERS.num_files, p=0.5, visit_rate=0.8)
     return ScenarioConfig(
         scheme=scheme,
@@ -64,52 +79,43 @@ def scenario(scheme: Scheme, *, incremental: bool, deferred: bool = True, **kw):
         t_end=700.0,
         warmup=200.0,
         seed=7,
-        incremental_rates=incremental,
-        deferred_integration=deferred,
         **kw,
     )
 
 
+def run_under(hook, config):
+    """``run_scenario`` with ``hook()`` active for build and run."""
+    with hook():
+        return run_scenario(config)
+
+
 class TestScenarioEquivalence:
-    """run_scenario twice -- dirty-row/windowed vs forced-full -- bit-exact."""
+    """run_scenario twice -- production vs oracle_mode() -- bit-exact."""
 
     @pytest.mark.parametrize("scheme", [Scheme.MTCD, Scheme.MTSD, Scheme.MFCD])
     def test_basic_schemes(self, scheme):
-        a = run_scenario(scenario(scheme, incremental=True))
-        b = run_scenario(scenario(scheme, incremental=False))
+        a = run_scenario(scenario(scheme))
+        b = run_under(oracle_mode, scenario(scheme))
         assert_summary_bitexact(a, b)
 
     def test_cmfsd_global_pool(self):
         # CMFSD defaults to GLOBAL_POOL: the mixed pool-window path
-        a = run_scenario(scenario(Scheme.CMFSD, incremental=True, rho=0.3))
-        b = run_scenario(scenario(Scheme.CMFSD, incremental=False, rho=0.3))
+        a = run_scenario(scenario(Scheme.CMFSD, rho=0.3))
+        b = run_under(oracle_mode, scenario(Scheme.CMFSD, rho=0.3))
         assert_summary_bitexact(a, b)
 
     def test_cmfsd_subtorrent_policy(self):
-        a = run_scenario(
-            scenario(
-                Scheme.CMFSD,
-                incremental=True,
-                rho=0.3,
-                seed_policy=SeedPolicy.SUBTORRENT,
-            )
-        )
-        b = run_scenario(
-            scenario(
-                Scheme.CMFSD,
-                incremental=False,
-                rho=0.3,
-                seed_policy=SeedPolicy.SUBTORRENT,
-            )
-        )
+        config = scenario(Scheme.CMFSD, rho=0.3, seed_policy=SeedPolicy.SUBTORRENT)
+        a = run_scenario(config)
+        b = run_under(oracle_mode, config)
         assert_summary_bitexact(a, b)
 
     def test_cmfsd_adapt_and_cheaters(self):
         # Adapt touches tft mid-flight (entry-kind dirt -> window
         # materialise); cheaters skew rho -- both must stay equivalent
         kw = dict(rho=0.3, adapt=AdaptPolicy(), adapt_period=25.0, cheater_fraction=0.2)
-        a = run_scenario(scenario(Scheme.CMFSD, incremental=True, **kw))
-        b = run_scenario(scenario(Scheme.CMFSD, incremental=False, **kw))
+        a = run_scenario(scenario(Scheme.CMFSD, **kw))
+        b = run_under(oracle_mode, scenario(Scheme.CMFSD, **kw))
         assert_summary_bitexact(a, b)
 
 
@@ -126,36 +132,19 @@ def _drive_pair(
     n_files=3,
     steps=120,
     seed=0,
-    incremental=(True, False),
-    deferred=(True, True),
-    dispatch=(True, True),
+    oracle=oracle_mode,
     neighbor_limit=None,
     max_advance=40.0,
     drain=50.0,
 ):
     """Run one random action sequence through twin systems, yielding both.
 
-    The two systems differ only in their rate/dispatch-path configuration;
-    the action sequence (spawns, seed pulses, time advances) is generated
-    once and applied to both, and their RNG streams start from the same
-    seed so behaviour-level randomness (seed lifetimes, tracker samples)
-    matches too.
+    The first system runs on the production path, the second is built and
+    driven entirely inside ``oracle()``; the action sequence (spawns, seed
+    pulses, time advances) is generated once and applied to both, and
+    their RNG streams start from the same seed so behaviour-level
+    randomness (seed lifetimes, tracker samples) matches too.
     """
-    systems = []
-    for index in range(2):
-        system = SimulationSystem(
-            mu=MU,
-            eta=ETA,
-            gamma=GAMMA,
-            num_classes=n_files,
-            incremental_rates=incremental[index],
-            deferred_integration=deferred[index],
-            incremental_dispatch=dispatch[index],
-            neighbor_limit=neighbor_limit,
-        )
-        system.add_group(tuple(range(n_files)), policy)
-        systems.append(system)
-
     rng = random.Random(seed)
     ops = []
     for _ in range(steps):
@@ -174,32 +163,44 @@ def _drive_pair(
             ops.append(("advance", rng.uniform(0.0, max_advance)))
 
     extra_uid = 10_000  # ids far above spawn_user's range, for seed pulses
-    for system in systems:
-        pulse_seeds: dict[int, int] = {}
-        uid = extra_uid
-        for op in ops:
-            if op[0] == "spawn":
-                _, kind, options, files = op
-                system.spawn_user(make_behavior(kind, **options), files)
-            elif op[0] == "seed":
-                _, file_id, bw, virtual = op
-                uid += 1
-                system.add_seed(uid, file_id, bw, user_class=1, virtual=virtual)
-                pulse_seeds[uid] = (file_id, virtual)
-                system.flush()
-            elif op[0] == "unseed":
-                _, file_id = op
-                hit = next(
-                    (u for u, (f, _v) in pulse_seeds.items() if f == file_id), None
-                )
-                if hit is not None:
-                    f, virtual = pulse_seeds.pop(hit)
-                    system.remove_seed(hit, f, virtual=virtual)
+    systems = []
+    for hook in (contextlib.nullcontext, oracle):
+        with hook():
+            system = SimulationSystem(
+                mu=MU,
+                eta=ETA,
+                gamma=GAMMA,
+                num_classes=n_files,
+                neighbor_limit=neighbor_limit,
+            )
+            system.add_group(tuple(range(n_files)), policy)
+            pulse_seeds: dict[int, int] = {}
+            uid = extra_uid
+            for op in ops:
+                if op[0] == "spawn":
+                    _, kind, options, files = op
+                    system.spawn_user(make_behavior(kind, **options), files)
+                elif op[0] == "seed":
+                    _, file_id, bw, virtual = op
+                    uid += 1
+                    system.add_seed(uid, file_id, bw, user_class=1, virtual=virtual)
+                    pulse_seeds[uid] = (file_id, virtual)
                     system.flush()
-            else:
-                system.run_until(system.now + op[1])
-        system.run_until(system.now + drain)
-        system.sync_accounting()
+                elif op[0] == "unseed":
+                    _, file_id = op
+                    hit = next(
+                        (u for u, (f, _v) in pulse_seeds.items() if f == file_id),
+                        None,
+                    )
+                    if hit is not None:
+                        f, virtual = pulse_seeds.pop(hit)
+                        system.remove_seed(hit, f, virtual=virtual)
+                        system.flush()
+                else:
+                    system.run_until(system.now + op[1])
+            system.run_until(system.now + drain)
+            system.sync_accounting()
+        systems.append(system)
     return systems
 
 
@@ -244,21 +245,19 @@ def _assert_twin_bitexact(sys_a, sys_b) -> None:
 @pytest.mark.parametrize("policy", [SeedPolicy.SUBTORRENT, SeedPolicy.GLOBAL_POOL])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestRandomizedEquivalence:
-    """Twin-system fuzz: same event sequence, both rate paths, same state."""
+    """Twin-system fuzz: same event sequence, production vs oracle, same state."""
 
     def test_incremental_matches_full(self, policy, seed):
         sys_a, sys_b = _drive_pair(policy, seed=seed)
         _assert_twin_bitexact(sys_a, sys_b)
 
     def test_batched_dispatch_matches_per_event(self, policy, seed):
-        sys_a, sys_b = _drive_pair(
-            policy, seed=seed, incremental=(True, True), dispatch=(True, False)
-        )
+        sys_a, sys_b = _drive_pair(policy, seed=seed, oracle=per_event_dispatch)
         _assert_twin_bitexact(sys_a, sys_b)
         assert sys_a.sim.events_processed == sys_b.sim.events_processed
 
     def test_windows_match_eager_integration(self, policy, seed):
-        sys_a, sys_b = _drive_pair(policy, seed=seed, deferred=(True, False))
+        sys_a, sys_b = _drive_pair(policy, seed=seed, oracle=eager_integration)
         assert sys_a.now == sys_b.now
         state_a, state_b = _store_state(sys_a), _store_state(sys_b)
         assert state_a.keys() == state_b.keys()
@@ -286,12 +285,12 @@ class TestRandomizedEquivalence:
 class TestNeighborRandomizedEquivalence:
     """Twin fuzz for the neighbor-aware kernel.
 
-    ``incremental_rates=False`` also sets ``topo_incremental=False`` on
-    tracker swarms, so the oracle twin rebuilds the adjacency/reach
-    matrices from the tracker samples on every epoch while the other twin
-    serves gathers from the incrementally maintained ``_TopoState``.  The
-    gathered arrays are bit-exact copies of the rebuilt ones, so the twin
-    trajectories must match to the last bit.
+    Under ``oracle_mode()`` tracker swarms build no ``_TopoState``, so the
+    oracle twin rebuilds the adjacency/reach matrices from the tracker
+    samples on every epoch while the production twin serves gathers from
+    the incrementally maintained state.  The gathered arrays are bit-exact
+    copies of the rebuilt ones, so the twin trajectories must match to the
+    last bit.
     """
 
     def test_incremental_topology_matches_full(self, limit, seed):
@@ -305,8 +304,7 @@ class TestNeighborRandomizedEquivalence:
             SeedPolicy.SUBTORRENT,
             seed=seed,
             neighbor_limit=limit,
-            incremental=(True, True),
-            dispatch=(True, False),
+            oracle=per_event_dispatch,
         )
         _assert_twin_bitexact(sys_a, sys_b)
 
@@ -358,11 +356,9 @@ class TestNeighborTopologyState:
 
         K = PAPER_PARAMETERS.num_files
         counters = {}
-        for incremental in (True, False):
+        for incremental, hook in ((True, contextlib.nullcontext), (False, oracle_mode)):
             with capture(trace=False) as obs:
-                run_scenario(
-                    scenario(Scheme.MTSD, incremental=incremental, neighbor_limit=5)
-                )
+                run_under(hook, scenario(Scheme.MTSD, neighbor_limit=5))
             counters[incremental] = dict(obs.registry.counters)
         fast, oracle = counters[True], counters[False]
         assert fast.get("sim.kernel.neighbor.full", 0) <= K
@@ -380,19 +376,13 @@ class TestDispatchEquivalence:
 
     @pytest.mark.parametrize("scheme", [Scheme.MTCD, Scheme.MTSD, Scheme.MFCD])
     def test_basic_schemes(self, scheme):
-        a = run_scenario(scenario(scheme, incremental=True))
-        b = run_scenario(
-            scenario(scheme, incremental=True, incremental_dispatch=False)
-        )
+        a = run_scenario(scenario(scheme))
+        b = run_under(per_event_dispatch, scenario(scheme))
         assert_summary_bitexact(a, b)
 
     def test_cmfsd_global_pool(self):
-        a = run_scenario(scenario(Scheme.CMFSD, incremental=True, rho=0.3))
-        b = run_scenario(
-            scenario(
-                Scheme.CMFSD, incremental=True, rho=0.3, incremental_dispatch=False
-            )
-        )
+        a = run_scenario(scenario(Scheme.CMFSD, rho=0.3))
+        b = run_under(per_event_dispatch, scenario(Scheme.CMFSD, rho=0.3))
         assert_summary_bitexact(a, b)
 
     def test_event_counts_and_batching_counters(self):
@@ -401,15 +391,14 @@ class TestDispatchEquivalence:
         from repro.sim.scenarios import build_simulation
 
         stats = {}
-        for dispatch in (True, False):
-            config = scenario(
-                Scheme.MTSD, incremental=True, incremental_dispatch=dispatch
-            )
-            system, arrivals = build_simulation(config)
-            with capture(trace=False) as obs:
-                arrivals.start()
-                system.run_until(config.t_end)
-            system.sync_accounting()
+        config = scenario(Scheme.MTSD)
+        for dispatch, hook in ((True, contextlib.nullcontext), (False, per_event_dispatch)):
+            with hook():
+                system, arrivals = build_simulation(config)
+                with capture(trace=False) as obs:
+                    arrivals.start()
+                    system.run_until(config.t_end)
+                system.sync_accounting()
             stats[dispatch] = (
                 system.sim.events_processed,
                 dict(obs.registry.counters),
@@ -423,13 +412,12 @@ class TestDeferredScripted:
     """Hand-sized scenarios: windowed integration equals the eager advance."""
 
     @staticmethod
-    def _make(deferred: bool, policy=SeedPolicy.SUBTORRENT, n_files=2):
+    def _make(policy=SeedPolicy.SUBTORRENT, n_files=2):
         system = SimulationSystem(
             mu=MU,
             eta=ETA,
             gamma=GAMMA,
             num_classes=n_files,
-            deferred_integration=deferred,
         )
         system.add_group(tuple(range(n_files)), policy)
         system.seed_lifetime = lambda: 30.0
@@ -438,21 +426,23 @@ class TestDeferredScripted:
     @pytest.mark.parametrize("policy", [SeedPolicy.SUBTORRENT, SeedPolicy.GLOBAL_POOL])
     def test_staggered_joins_and_seed_pulse(self, policy):
         times = {}
-        for deferred in (True, False):
-            system = self._make(deferred, policy)
-            sequential = make_behavior(BehaviorKind.SEQUENTIAL)
-            uids = [system.spawn_user(sequential, (0,))]
-            system.schedule_after(
-                40.0, lambda s=system: uids.append(s.spawn_user(sequential, (0, 1)))
-            )
-            system.schedule_after(
-                55.0, lambda s=system: s.add_seed(999, 0, 0.03, 1, virtual=True)
-            )
-            system.schedule_after(
-                90.0, lambda s=system: s.remove_seed(999, 0, virtual=True)
-            )
-            system.run_until(600.0)
-            system.sync_accounting()
+        for deferred, hook in ((True, contextlib.nullcontext), (False, eager_integration)):
+            with hook():
+                system = self._make(policy)
+                sequential = make_behavior(BehaviorKind.SEQUENTIAL)
+                uids = [system.spawn_user(sequential, (0,))]
+                system.schedule_after(
+                    40.0,
+                    lambda s=system: uids.append(s.spawn_user(sequential, (0, 1))),
+                )
+                system.schedule_after(
+                    55.0, lambda s=system: s.add_seed(999, 0, 0.03, 1, virtual=True)
+                )
+                system.schedule_after(
+                    90.0, lambda s=system: s.remove_seed(999, 0, virtual=True)
+                )
+                system.run_until(600.0)
+                system.sync_accounting()
             times[deferred] = [
                 system.metrics.records[u].downloads_done_time for u in uids
             ]
@@ -460,7 +450,7 @@ class TestDeferredScripted:
 
     def test_mid_window_read_sees_materialised_state(self):
         """Reading a volatile entry field mid-window syncs it to now."""
-        system = self._make(True)
+        system = self._make()
         sequential = make_behavior(BehaviorKind.SEQUENTIAL)
         uid = system.spawn_user(sequential, (0,))
         entry = system.groups[0].get_downloader(uid, 0)
