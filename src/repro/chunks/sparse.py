@@ -289,7 +289,9 @@ class SparseChunkSwarm:
         else:
             rarity = availability[idx]
             rarest = idx[rarity == rarity.min()]
-        chunk = int(self.rng.choice(rarest))
+        # Same stream as ``rng.choice(rarest)``; the dense engine draws
+        # the same way (pinned by tests/chunks/test_rng_draws.py).
+        chunk = int(rarest[self.rng.integers(rarest.size)])
         st.offered[u, chunk] += 1
         return chunk
 

@@ -13,10 +13,15 @@ dict/bitmap state lives in a :class:`repro.chunks.store.ChunkStore`
   stable argsort over one row of the P x P received-bytes matrix; the
   seed policies read a rotation-cursor array, the per-receiver received
   totals, or draw from the RNG exactly as the scalar engine does.
-* **Local rarest first** picks chunks through boolean masks over the
-  ownership/partial/active rows plus the availability column counts.
-* **Transfer accounting** is scatter-adds into the P x C partial matrices
-  and the P x P received matrix.
+* **Local rarest first** runs on round-local row bitsets: the transfer
+  phase packs the ownership and live-partial rows into one Python ``int``
+  per peer (bit i = chunk i), so a pick's masks are integer ``&``/``~``
+  ops -- an empty candidate set (most calls) is one int test -- and the
+  tie-breaks and rarest filter run over the ascending index lists of the
+  set bits.  ``ChunkStore`` stays the only state between rounds.
+* **Transfer accounting** writes the P x C partial matrices and the
+  P x P received matrix in the scalar engine's order, and flips the
+  receiver's bits beside each write.
 
 The engine is **bit-for-bit equivalent** to the reference: every RNG call
 site fires in the same order with the same population sizes (so the
@@ -48,6 +53,27 @@ from repro.obs import current_registry
 __all__ = ["ChunkSwarm"]
 
 _EMPTY_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _pack_rows(mask: np.ndarray) -> list[int]:
+    """One Python ``int`` per row of a boolean matrix; bit i = column i."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [
+        int.from_bytes(buf[i : i + width], "little")
+        for i in range(0, len(buf), width)
+    ]
+
+
+def _bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits of a non-negative ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class ChunkSwarm:
@@ -141,50 +167,63 @@ class ChunkSwarm:
         return self.store.own[: self.store.n].sum(axis=0, dtype=int)
 
     def _pick_chunk(
-        self, r: int, u: int, availability: np.ndarray
+        self,
+        r: int,
+        u: int,
+        own_bits: list[int],
+        part_bits: list[int],
+        act_bits: list[int],
+        avail: list[int],
     ) -> int | None:
         """Local rarest first among needed, offered, not-in-flight chunks.
 
-        Row-mask port of the reference ``_pick_chunk``; consumes the RNG
-        at exactly the same call sites with the same population sizes.
+        Bitset port of the reference ``_pick_chunk`` over the round-local
+        row bitsets (see ``run_round``); consumes the RNG at exactly the
+        same call sites with the same population sizes.
         """
-        st = self.store
-        candidates = st.own[u] & ~st.own[r]
-        if not candidates.any():
+        candidates = own_bits[u] & ~own_bits[r]
+        if not candidates:
             return None
-        pseq_r = st.partial_seq[r]
-        pmask = pseq_r > 0
-        act_r = st.active[r]
+        st = self.store
+        part = part_bits[r]
+        act = act_bits[r]
         # Resume a partial chunk first (block re-request from anyone),
         # preferring the most-complete one; ties go to the oldest partial
         # (the scalar engine's dict-insertion order).
-        resumable = candidates & pmask & ~act_r
-        if resumable.any():
-            idx = np.nonzero(resumable)[0]
-            dones = st.partial_done[r, idx]
-            tied = idx[dones == dones.max()]
-            if tied.size == 1:
-                return int(tied[0])
-            return int(tied[np.argmin(pseq_r[tied])])
-        fresh = candidates & ~act_r & ~pmask
-        idx = np.nonzero(fresh)[0]
-        if idx.size == 0:
-            # Endgame mode: join an actively transferring chunk rather than
-            # idle the link (block-level parallelism, no byte duplication in
-            # this model's granularity).  candidates is non-empty here.
-            idx = np.nonzero(candidates)[0]
+        resumable = candidates & part & ~act
+        if resumable:
+            idx = _bit_indices(resumable)
+            if len(idx) == 1:
+                return idx[0]
+            done_r = st.partial_done[r]
+            dones = [done_r[c] for c in idx]
+            best = max(dones)
+            tied = [c for c, d in zip(idx, dones) if d == best]
+            if len(tied) == 1:
+                return tied[0]
+            return min(tied, key=st.partial_seq[r].__getitem__)
+        fresh = candidates & ~(act | part)
+        # Endgame mode: with no fresh chunk left, join an actively
+        # transferring one rather than idle the link (block-level
+        # parallelism, no byte duplication in this model's granularity).
+        idx = _bit_indices(fresh or candidates)
         if self.config.super_seeding and st.initially_seed[u]:
             # Super-seeding: the origin doles out its least-offered pieces
             # first, maximising diversity during the bootstrap.
-            offers = st.offered[u, idx]
-            idx = idx[offers == offers.min()]
+            offered_u = st.offered[u]
+            offers = [offered_u[c] for c in idx]
+            least = min(offers)
+            idx = [c for c, o in zip(idx, offers) if o == least]
         if self.config.piece_selection == "in_order":
             # Streaming policy: lowest index first (sequential playback).
-            rarest = idx[idx == idx.min()]
+            rarest = idx[:1]
         else:
-            rarity = availability[idx]
-            rarest = idx[rarity == rarity.min()]
-        chunk = int(self.rng.choice(rarest))
+            rarity = [avail[c] for c in idx]
+            least = min(rarity)
+            rarest = [c for c, a in zip(idx, rarity) if a == least]
+        # Same stream as ``rng.choice(rarest)``, without its overhead
+        # (pinned by tests/chunks/test_rng_draws.py).
+        chunk = rarest[self.rng.integers(len(rarest))]
         st.offered[u, chunk] += 1
         return chunk
 
@@ -247,7 +286,6 @@ class ChunkSwarm:
         own = st.own[:n]
 
         t0 = time.perf_counter() if obs else 0.0
-        availability = own.sum(axis=0, dtype=int)
         # interest[u, d]: d is interested in u (u owns a chunk d lacks);
         # the diagonal is structurally False.
         ownf = own.astype(np.float32)
@@ -286,6 +324,14 @@ class ChunkSwarm:
         recv_total_cur = st.recv_total_cur
         n_links = 0
         self._round_picks = 0
+        # Round-local row bitsets (bit i = chunk i) mirror the ownership,
+        # live-partial and active flags for the pick loop; ``_transfer``
+        # updates them beside the store arrays.  ``rollover`` cleared
+        # ``active`` at the end of the last round.
+        own_bits = _pack_rows(own)
+        part_bits = _pack_rows(st.partial_seq[:n] > 0)
+        act_bits = [0] * n
+        avail = own.sum(axis=0, dtype=int).tolist()
         for u in range(n):
             u_is_dl = bool(was_dl[u])
             if u_is_dl:
@@ -300,7 +346,14 @@ class ChunkSwarm:
             for r in receivers:
                 r = int(r)
                 sent = self._transfer(
-                    u, r, per_link, availability, uploader_is_downloader=u_is_dl
+                    u,
+                    r,
+                    per_link,
+                    own_bits,
+                    part_bits,
+                    act_bits,
+                    avail,
+                    uploader_is_downloader=u_is_dl,
                 )
                 if sent > 0:
                     # Tit-for-tat ranks by transfer effort, duplicates and all.
@@ -353,7 +406,10 @@ class ChunkSwarm:
         u: int,
         r: int,
         amount: float,
-        availability: np.ndarray,
+        own_bits: list[int],
+        part_bits: list[int],
+        act_bits: list[int],
+        avail: list[int],
         *,
         uploader_is_downloader: bool,
     ) -> float:
@@ -361,7 +417,9 @@ class ChunkSwarm:
 
         Returns the raw bytes moved.  Usefulness is credited per completed
         chunk: the link that finishes a chunk banks its accumulated bytes
-        into the downloader/seed useful counters.
+        into the downloader/seed useful counters.  The store arrays are
+        written exactly as the scalar engine updates its dicts; the
+        round-local bitsets of ``r`` follow each write.
         """
         st = self.store
         chunk_size = self.config.chunk_size
@@ -375,13 +433,18 @@ class ChunkSwarm:
         picks = 0
         sent = 0.0
         while amount > 1e-15:
-            chunk = self._pick_chunk(r, u, availability)
+            chunk = self._pick_chunk(
+                r, u, own_bits, part_bits, act_bits, avail
+            )
             if chunk is None:
                 break  # nothing useful to send
             picks += 1
-            if pseq[r, chunk] == 0:
+            bit = 1 << chunk
+            if not part_bits[r] & bit:
                 pseq[r, chunk] = st.next_partial_seq()
+                part_bits[r] |= bit
             active[r, chunk] = True
+            act_bits[r] |= bit
             done = pd[r, chunk]
             need = chunk_size - done
             step = need if need < amount else amount
@@ -396,8 +459,9 @@ class ChunkSwarm:
             st.uploaded_useful[u] += step
             if done >= threshold:
                 own[r, chunk] = True
+                own_bits[r] |= bit
                 st.n_owned[r] += 1
-                availability[chunk] += 1
+                avail[chunk] += 1
                 self.downloader_useful += pdl[r, chunk]
                 self.seed_useful += psc[r, chunk]
                 pd[r, chunk] = 0.0
@@ -405,6 +469,8 @@ class ChunkSwarm:
                 psc[r, chunk] = 0.0
                 pseq[r, chunk] = 0
                 active[r, chunk] = False
+                part_bits[r] &= ~bit
+                act_bits[r] &= ~bit
         self._round_picks += picks
         return sent
 

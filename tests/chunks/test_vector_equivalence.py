@@ -97,6 +97,24 @@ def test_flash_crowd_equivalence(
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("super_seeding", [False, True])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_multiword_bitset_equivalence(
+    policy: str, super_seeding: bool, engine: str
+):
+    """130 chunks: every ownership/partial row spans three 64-bit words and
+    ends in a part-filled byte, so bits past the first word (and the
+    packing of a ragged last byte) carry the whole lifecycle."""
+    cfg = ChunkSwarmConfig(
+        n_chunks=130, seed_unchoke=policy, super_seeding=super_seeding
+    )
+    vec, ref = run_both(
+        cfg, seed=0, n_seeds=2, n_leech=12, max_rounds=2000, engine=engine
+    )
+    assert_swarms_equal(vec, ref)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("super_seeding", [False, True])
 @pytest.mark.parametrize("policy", POLICIES)
