@@ -1,8 +1,9 @@
-"""Ablation benchmark: steady-state solver strategies on Eq. (5).
+"""Benchmark: the production steady-state solver against its oracle on Eq. (5).
 
 DESIGN.md calls out the choice of pseudo-transient continuation + Newton as
-the production path; this bench times the alternatives on the hardest model
-in the paper (CMFSD at K=10) and asserts they agree on the answer.
+the production path; this bench times it beside ``integrate_to_steady_state``
+(follow the flow until it stops) on the hardest model in the paper (CMFSD
+at K=10) and asserts they agree on the answer.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import pytest
 from repro.core import CMFSDModel, CorrelationModel, PAPER_PARAMETERS
 from repro.ode import (
     SteadyStateOptions,
-    anderson_steady_state,
     find_steady_state,
     integrate_to_steady_state,
-    scipy_steady_state,
 )
 
 
@@ -36,22 +35,16 @@ def _reference_state():
 
 
 @pytest.mark.parametrize(
-    "solver, needs_warm_start",
-    [
-        (find_steady_state, False),
-        (integrate_to_steady_state, False),
-        (anderson_steady_state, False),
-        (scipy_steady_state, True),
-    ],
-    ids=["ptc+newton", "integrate", "anderson", "scipy-hybr"],
+    "solver",
+    [find_steady_state, integrate_to_steady_state],
+    ids=["ptc+newton", "integrate"],
 )
-def test_bench_cmfsd_steady_solvers(benchmark, solver, needs_warm_start):
+def test_bench_cmfsd_steady_solvers(benchmark, solver):
     model = _model()
     opts = SteadyStateOptions(tol=1e-9)
     reference = _reference_state()
-    # scipy's hybr needs a warm start on this 65-dimensional system; the
-    # others start from the empty torrent like the production path does.
-    y0 = reference * 0.9 if needs_warm_start else np.zeros(model.state_dim)
+    # both start from the empty torrent, like the production path does
+    y0 = np.zeros(model.state_dim)
 
     def solve():
         return solver(model.rhs, y0, opts)

@@ -9,9 +9,9 @@ them and to locate their stationary points:
   :func:`scipy.integrate.solve_ivp`.  Having two independent implementations
   lets the test-suite cross-check every model.
 * :mod:`repro.ode.steady_state` -- the pseudo-transient continuation +
-  Newton production driver, an integrate-to-convergence driver, damped
-  Newton iteration with a numerical Jacobian, Anderson acceleration, and a
-  wrapper over :func:`scipy.optimize.root`.
+  Newton production driver, damped Newton iteration with a numerical
+  Jacobian, and the integrate-to-convergence driver it is checked
+  against.
 * :mod:`repro.ode.events` -- time-grid helpers and dense-output sampling.
 
 All solvers operate on plain callables ``f(t, y) -> dy/dt`` over
@@ -30,8 +30,6 @@ from repro.ode.steady_state import (
     PathResult,
     integrate_to_steady_state,
     newton_steady_state,
-    anderson_steady_state,
-    scipy_steady_state,
     find_steady_state,
     solve_path,
     residual_norm,
@@ -49,8 +47,6 @@ __all__ = [
     "PathResult",
     "integrate_to_steady_state",
     "newton_steady_state",
-    "anderson_steady_state",
-    "scipy_steady_state",
     "find_steady_state",
     "solve_path",
     "residual_norm",

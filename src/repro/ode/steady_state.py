@@ -2,17 +2,13 @@
 
 The fluid models of the paper are evaluated at their stable operating point
 ``f(y*) = 0``.  Closed forms exist for the MTCD/MTSD models; the CMFSD model
-(Eq. 5 of the paper) must be solved numerically.  This module offers several
-complementary strategies:
+(Eq. 5 of the paper) must be solved numerically.  This module offers:
 
 * :func:`integrate_to_steady_state` -- follow the flow until the derivative
   norm is negligible.  Robust (the models are globally attracting for valid
   parameters) but slower.
 * :func:`newton_steady_state` -- damped Newton with a finite-difference
   Jacobian.  Fast local convergence; used to polish the coarse phase.
-* :func:`anderson_steady_state` -- Anderson-accelerated fixed-point
-  iteration on ``y + dt*f(y)``; derivative-free middle ground.
-* :func:`scipy_steady_state` -- :func:`scipy.optimize.root` wrapper.
 * :func:`find_steady_state` -- the production driver: pseudo-transient
   continuation toward the attractor, then a Newton polish, falling back
   gracefully.
@@ -25,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.obs import current_registry, current_tracer
 from repro.ode.integrators import RHS, integrate_scipy
@@ -37,8 +32,6 @@ __all__ = [
     "residual_norm",
     "integrate_to_steady_state",
     "newton_steady_state",
-    "anderson_steady_state",
-    "scipy_steady_state",
     "find_steady_state",
     "solve_path",
 ]
@@ -390,118 +383,6 @@ def _pseudo_transient(
         dt *= PTC_GROWTH
     return SteadyStateResult(
         state=y, residual=res, converged=res < tol, n_iterations=steps, method="ptc"
-    )
-
-
-def anderson_steady_state(
-    rhs: RHS,
-    y0: np.ndarray,
-    options: SteadyStateOptions | None = None,
-    *,
-    dt: float = 1.0,
-    memory: int = 5,
-    max_iter: int = 2000,
-) -> SteadyStateResult:
-    """Anderson-accelerated fixed-point iteration.
-
-    Solves ``g(y) = y`` for ``g(y) = y + dt*f(0, y)`` (an explicit Euler
-    picture of the flow), combining the last ``memory`` residuals by
-    least-squares extrapolation.  Derivative-free, often dramatically faster
-    than plain iteration on stiff-ish contraction maps.
-    """
-    counted = _CountingRHS(rhs)
-    try:
-        return _anderson_steady_state(
-            counted, y0, options, dt=dt, memory=memory, max_iter=max_iter
-        )
-    finally:
-        counted.publish("ode.anderson.rhs_evals")
-
-
-def _anderson_steady_state(
-    rhs: RHS,
-    y0: np.ndarray,
-    options: SteadyStateOptions | None = None,
-    *,
-    dt: float,
-    memory: int,
-    max_iter: int,
-) -> SteadyStateResult:
-    opts = options or SteadyStateOptions()
-    y = np.array(y0, dtype=float)
-
-    def g(v: np.ndarray) -> np.ndarray:
-        out = v + dt * np.asarray(rhs(0.0, v), dtype=float)
-        if opts.nonnegative:
-            out = np.clip(out, 0.0, None)
-        return out
-
-    ys: list[np.ndarray] = []
-    gs: list[np.ndarray] = []
-    for it in range(1, max_iter + 1):
-        gy = g(y)
-        ys.append(y.copy())
-        gs.append(gy.copy())
-        if len(ys) > memory + 1:
-            ys.pop(0)
-            gs.pop(0)
-        res = residual_norm(rhs, y)
-        if res < opts.tol:
-            return SteadyStateResult(
-                state=y, residual=res, converged=True, n_iterations=it - 1, method="anderson"
-            )
-        m = len(ys) - 1
-        if m == 0:
-            y = gy
-            continue
-        # Residual differences matrix; solve the least-squares mixing problem.
-        f_list = [gs[k] - ys[k] for k in range(len(ys))]
-        df = np.stack([f_list[k + 1] - f_list[k] for k in range(m)], axis=1)
-        try:
-            gamma = np.linalg.lstsq(df, f_list[-1], rcond=None)[0]
-        except np.linalg.LinAlgError:
-            gamma = np.zeros(m)
-        y_new = gs[-1].copy()
-        for k in range(m):
-            y_new -= gamma[k] * (gs[k + 1] - gs[k])
-        if opts.nonnegative:
-            np.clip(y_new, 0.0, None, out=y_new)
-        if not np.all(np.isfinite(y_new)):
-            y = gy  # fall back to the plain fixed-point step
-        else:
-            y = y_new
-    res = residual_norm(rhs, y)
-    return SteadyStateResult(
-        state=y, residual=res, converged=res < opts.tol, n_iterations=max_iter, method="anderson"
-    )
-
-
-def scipy_steady_state(
-    rhs: RHS,
-    y0: np.ndarray,
-    options: SteadyStateOptions | None = None,
-    *,
-    method: str = "hybr",
-) -> SteadyStateResult:
-    """Locate the root of ``f(0, y)`` with :func:`scipy.optimize.root`."""
-    opts = options or SteadyStateOptions()
-    counted = _CountingRHS(rhs)
-
-    def fun(y: np.ndarray) -> np.ndarray:
-        return np.asarray(counted(0.0, y), dtype=float)
-
-    sol = optimize.root(fun, np.asarray(y0, dtype=float), method=method)
-    y = np.asarray(sol.x, dtype=float)
-    if opts.nonnegative:
-        y = np.clip(y, 0.0, None)
-    res = residual_norm(counted, y)
-    counted.publish("ode.scipy_root.rhs_evals")
-    return SteadyStateResult(
-        state=y,
-        residual=res,
-        converged=res < opts.tol,
-        n_iterations=int(sol.nfev),
-        method=f"scipy-{method}",
     )
 
 

@@ -19,13 +19,20 @@ Seed bandwidth placement follows the group's :class:`SeedPolicy`:
   scenarios default to it; running them under ``SUBTORRENT`` instead
   quantifies the quality of that approximation.
 
+A *rate domain* is a tuple of member swarms that share one seed pool: the
+whole group under ``GLOBAL_POOL`` (everyone shares the pool, so any change
+retouches every rate), a single swarm under ``SUBTORRENT`` (rates never
+cross swarm boundaries).  A single-subtorrent pool is exactly the
+swarm-local rule, so both are one class of object: :class:`Swarm` is a
+domain of one member (itself) and :class:`SwarmGroup` a domain of all its
+swarms, and the lazy advance, the share kernels and the deferred-window
+drivers are written once over the member tuple.
+
 Progress is integrated *lazily*: rates are constant between allocation
 changes, so work is only advanced when something changes.  The unit of
-laziness matches the unit of rate coupling -- the whole group under
-``GLOBAL_POOL`` (everyone shares the pool, so any change retouches every
-rate), but a single swarm under ``SUBTORRENT`` (rates never cross swarm
-boundaries).  This per-swarm fast path is what keeps large MFCD/MTCD runs
-tractable: an event touches one swarm, not a 10-file torrent.
+laziness is the rate domain.  The per-swarm domains of ``SUBTORRENT``
+groups are what keep large MFCD/MTCD runs tractable: an event touches one
+swarm, not a 10-file torrent.
 
 Per-peer numeric state lives in a structure-of-arrays
 :class:`~repro.sim.peerstore.PeerStore` per swarm, so every kernel here --
@@ -77,9 +84,6 @@ __all__ = [
 #: pays at most a mild loss near the boundary and never a blow-up.
 #: Re-run the micro-bench when changing it.
 SCALAR_KERNEL_CUTOFF = 64
-
-#: Backwards-compatible alias (pre-promotion name).
-_SCALAR_N = SCALAR_KERNEL_CUTOFF
 
 
 class SeedPolicy(enum.Enum):
@@ -351,8 +355,425 @@ class WorkSnapshot:
         return self.entries[i], float(etas[i])
 
 
-class Swarm:
-    """Population of one file, with its own lazy-progress clock."""
+class _RateDomain:
+    """One rate domain: a tuple of member swarms sharing one seed pool.
+
+    Every operation here runs over ``_members`` -- ``(self,)`` for a
+    :class:`Swarm`, all member swarms for a pooled :class:`SwarmGroup` --
+    so the swarm-local rule and Eq. (5)'s pool rule are one code path.
+    Subclasses set ``_members``, ``_share_cache`` and ``win``, the counter
+    prefix ``_KERNEL`` (``sim.kernel.<prefix>.*``), and provide
+    ``n_downloaders``, ``_swarm(file_id)`` and ``_recompute``, which routes
+    through their named kernel entry points.  The member swarms of a pooled
+    group share the group's window and are driven only through the group.
+    """
+
+    _KERNEL: str
+    _members: "tuple[Swarm, ...]"
+    #: ([member store versions], total_cap, {store: share}) from the last
+    #: full share pass; reused while no member's membership has moved (the
+    #: share vectors depend only on membership and download caps)
+    _share_cache: "tuple | None"
+    #: deferred-integration window governing every member's rows
+    win: RateWindow
+    #: when True, rates only flow along neighbour connections (only a
+    #: tracker-limited :class:`Swarm` sets it; it leaves the share kernel)
+    neighbor_aware = False
+
+    def _versions(self) -> list[int]:
+        return [swarm.store.version for swarm in self._members]
+
+    def _seed_totals(self) -> tuple[float, float]:
+        """Virtual and real seed capacity over every member, in O(members)."""
+        sv = sr = 0.0
+        for swarm in self._members:
+            sv += swarm.virtual_seeds.total
+            sr += swarm.real_seeds.total
+        return sv, sr
+
+    def _pool_ratios(self, total_cap: float) -> tuple[float, float]:
+        """A window's ``q`` (seed capacity per unit of download capacity)
+        and its virtual part ``qv``."""
+        sv, sr = self._seed_totals()
+        if total_cap > 0.0:
+            return (sv + sr) / total_cap, sv / total_cap
+        return 0.0, 0.0
+
+    # ----- lazy progress ----------------------------------------------------------
+
+    def advance(self, t: float) -> None:
+        """Integrate current rates up to ``t`` for every member.
+
+        Virtual seeds upload whenever anyone in the domain downloads: the
+        swarm-local rule for a lone swarm, and for a pool a virtual seed on
+        an empty member still uploads while the group is busy.  Give/take
+        is *not* pushed into user records here: received bandwidth
+        accumulates in the store's ``received_virtual_acc`` column and
+        upload time in each member's ``virtual_busy_time`` integral, both
+        flushed into records by :meth:`Swarm.sync_virtual_accounting` (or
+        the per-user settle hooks).
+        """
+        busy = has_virtual = False
+        for swarm in self._members:
+            if swarm.store.n:
+                busy = True
+            if swarm.virtual_seeds:
+                has_virtual = True
+        for swarm in self._members:
+            dt = t - swarm.last_update
+            if dt < -1e-9:
+                raise ValueError(
+                    f"cannot advance swarm backwards ({swarm.last_update} -> {t})"
+                )
+            if dt <= 0:
+                swarm.last_update = t
+                continue
+            store = swarm.store
+            n = store.n
+            if n:
+                remaining = store.remaining[:n]
+                np.subtract(remaining, store.rate[:n] * dt, out=remaining)
+                np.maximum(remaining, 0.0, out=remaining)
+                if has_virtual:
+                    acc = store.received_virtual_acc[:n]
+                    np.add(acc, store.rate_from_virtual[:n] * dt, out=acc)
+            if busy and swarm.virtual_seeds:
+                swarm.virtual_busy_time += dt
+            swarm.last_update = t
+
+    # ----- the share kernel ---------------------------------------------------------
+
+    def _share_pass(self, eta: float) -> None:
+        """Refresh every row from the domain's seed pool (the full kernel).
+
+        Each row gets ``eta * tft`` plus its capacity share
+        ``cap / total_cap`` of the pooled virtual + real seed capacity,
+        capped at its download bandwidth (a peer cannot receive faster than
+        its link; the cap only binds in drain tails where few downloaders
+        face many seeds).  Domains of at most ``SCALAR_KERNEL_CUTOFF`` rows
+        take a scalar loop and cache their shares as lists, so the
+        incremental path stays scalar for the same membership.
+        """
+        members = self._members
+        total_n = 0
+        for swarm in members:
+            swarm.epoch += 1
+            total_n += swarm.store.n
+        reg = current_registry()
+        if reg.enabled:
+            reg.inc(f"sim.kernel.{self._KERNEL}.full")
+            reg.inc(f"sim.kernel.{self._KERNEL}.peers", total_n)
+        total_cap = 0.0
+        shares: dict = {}
+        if total_n <= SCALAR_KERNEL_CUTOFF:
+            caps_of = [s.store.download_cap[: s.store.n].tolist() for s in members]
+            for caps in caps_of:
+                for c in caps:
+                    total_cap += c
+            for swarm, caps in zip(members, caps_of):
+                if caps:
+                    shares[swarm.store] = [
+                        c / total_cap if total_cap > 0.0 else 0.0 for c in caps
+                    ]
+        else:
+            for swarm in members:
+                total_cap += float(np.sum(swarm.store.download_cap[: swarm.store.n]))
+            for swarm in members:
+                n = swarm.store.n
+                if n:
+                    caps = swarm.store.download_cap[:n]
+                    shares[swarm.store] = (
+                        caps / total_cap if total_cap > 0 else np.zeros(n)
+                    )
+        sv, sr = self._seed_totals()
+        for store, share in shares.items():
+            _write_rates(store, share, eta, sv + sr, sv)
+        self._share_cache = (self._versions(), total_cap, shares)
+
+    def _share_refresh(
+        self, eta: float, entries: "list[DownloadEntry] | None" = None
+    ) -> bool:
+        """Refresh rates reusing the cached capacity shares when possible.
+
+        Valid only while membership is unchanged since the last full pass
+        (the cached ``share = caps / total_cap`` vectors depend only on
+        membership and download caps, both frozen between attach/detach):
+
+        * ``entries=None`` -- seed capacity changed: every row's rate is
+          refreshed from the cached shares and the O(1) seed totals,
+          skipping the capacity reduction and division.
+        * ``entries=[...]`` -- only those downloaders' ``tft_upload``
+          changed: just their rows are rewritten, scalar math identical
+          (bit-for-bit) to the vectorised kernel's per-element operations.
+
+        Returns ``False`` on cache miss (no pass yet, or membership moved);
+        the caller then falls back to the full kernel, which is the oracle
+        this path must match exactly.
+        """
+        cache = self._share_cache
+        if cache is None or cache[0] != self._versions():
+            return False
+        total_n = 0
+        for swarm in self._members:
+            swarm.epoch += 1
+            total_n += swarm.store.n
+        shares = cache[2]
+        sv, sr = self._seed_totals()
+        pool = sv + sr
+        if entries is not None and 4 * len(entries) > total_n:
+            entries = None  # vector pass is cheaper than many scalar rows
+        if entries is None:
+            for store, share in shares.items():
+                _write_rates(store, share, eta, pool, sv)
+            rows = total_n
+        else:
+            rows = 0
+            for entry in entries:
+                store = entry._store
+                share = shares.get(store)
+                if share is None:
+                    continue  # departed since it was marked dirty
+                i = entry._slot
+                s = float(share[i])
+                rate = eta * float(store.tft_upload[i]) + s * pool
+                rate_from_virtual = s * sv
+                cap = float(store.download_cap[i])
+                if rate > cap > 0:
+                    scale = cap / rate
+                    rate = cap
+                    rate_from_virtual *= scale
+                store.rate[i] = rate
+                store.rate_from_virtual[i] = rate_from_virtual
+                rows += 1
+        reg = current_registry()
+        if reg.enabled:
+            reg.inc(f"sim.kernel.{self._KERNEL}.incremental")
+            reg.inc(f"sim.kernel.{self._KERNEL}.rows", rows)
+        return True
+
+    # ----- deferred integration ------------------------------------------------------
+    #
+    # These drive the domain's :class:`~repro.sim.bandwidth.RateWindow`:
+    # every member row rides the same ``q = pool / total_cap``.
+
+    def win_start(self, eta: float, t: float, bound: float, sync) -> bool:
+        """Open a deferred window after an exact flush (rates fresh at ``t``).
+
+        Refuses when the factorised trajectory cannot represent this state:
+        neighbour-aware allocation, a stale share cache, a zero-cap row
+        (rounds ``q_max`` down to the unusable ``-inf``) or an already
+        clipped rate.
+        """
+        if self.neighbor_aware:
+            return False
+        cache = self._share_cache
+        if cache is None or cache[0] != self._versions():
+            return False
+        total_cap = cache[1]
+        q, qv = self._pool_ratios(total_cap)
+        q_max = math.inf
+        ratio_min = math.inf
+        for swarm in self._members:
+            store = swarm.store
+            n = store.n
+            if not n:
+                continue
+            caps = store.download_cap[:n]
+            if float(caps.min()) <= 0.0:
+                return False
+            ratios = eta * (store.tft_upload[:n] / caps)
+            thr = 1.0 - float(ratios.max())
+            if thr < q_max:
+                q_max = thr
+            rmin = float(ratios.min())
+            if rmin < ratio_min:
+                ratio_min = rmin
+        if q > q_max:
+            return False
+        self.win.start(
+            eta=eta,
+            t=t,
+            q=q,
+            qv=qv,
+            q_max=q_max,
+            ratio_min=ratio_min,
+            total_cap=total_cap,
+            bound=bound,
+        )
+        for swarm in self._members:
+            swarm.store._sync = sync
+        return True
+
+    def win_accumulate(self, t: float) -> None:
+        """Extend the window's integrals to ``t`` (before any mutation)."""
+        dt = self.win.accumulate(t)
+        if dt > 0.0 and self.n_downloaders:
+            # same rule as :meth:`advance`: virtual seeds upload whenever
+            # anyone in the domain downloads
+            for swarm in self._members:
+                if swarm.virtual_seeds:
+                    swarm.virtual_busy_time += dt
+
+    def win_bias_attached(self, entry: DownloadEntry) -> None:
+        """Adopt one freshly attached row into the open window.
+
+        Pre-charges the row's stored state with the integrals accumulated
+        before it joined (so the eventual uniform fold is exact) and folds
+        its capacity and tft/cap ratio into the window's scalars.
+        """
+        win = self.win
+        store = entry._store
+        slot = entry._slot
+        tft = float(store.tft_upload[slot])
+        cap = float(store.download_cap[slot])
+        bias = win.eta * tft * (win.t - win.t_start) + cap * win.B
+        if bias:
+            store.remaining[slot] += bias
+        if win.C:
+            store.received_virtual_acc[slot] -= cap * win.C
+        win.total_cap += cap
+        if cap > 0.0:
+            ratio = win.eta * tft / cap
+            thr = 1.0 - ratio
+            if thr < win.q_max:
+                win.q_max = thr
+            if ratio < win.ratio_min:
+                win.ratio_min = ratio
+        else:
+            win.q_max = -math.inf  # zero-cap row: next refresh materialises
+
+    def win_refresh(self, joins: "list[DownloadEntry] | None" = None) -> bool:
+        """Absorb seed/join mutations into the window in O(changes).
+
+        Recomputes ``q``/``qv`` from the O(1) seed totals and the running
+        ``total_cap``, updates the completion bound, and folds each join's
+        own (unclipped) time-to-completion in.  ``False`` means the window
+        cannot hold the new state -- materialise and take the exact path.
+        """
+        win = self.win
+        q, qv = self._pool_ratios(win.total_cap)
+        if not win.refresh(q, qv, self.n_downloaders):
+            return False
+        for entry in joins or ():
+            store = entry._store
+            if store is None:
+                continue  # departed again before the flush
+            slot = entry._slot
+            tft = float(store.tft_upload[slot])
+            cap = float(store.download_cap[slot])
+            rate = win.eta * tft + cap * q
+            if rate <= 0.0:
+                win.note_row(math.inf)
+                continue
+            remaining = (
+                float(store.remaining[slot])
+                - win.eta * tft * (win.t - win.t_start)
+                - cap * win.B
+            )
+            win.note_row(remaining / rate if remaining > 0.0 else 0.0)
+        reg = current_registry()
+        if reg.enabled:
+            reg.inc(f"sim.kernel.{self._KERNEL}.incremental")
+            reg.inc("sim.window.refresh")
+        return True
+
+    def win_due(self, eps: float) -> "tuple[float, list[DownloadEntry], float]":
+        """Entries due within ``eps`` of now, judged in window space.
+
+        Returns ``(t_next, due, t_rest)``: the earliest completion time
+        (``inf`` when empty), the due rows, and the earliest completion
+        among the rows that stay -- the window's next bound once the due
+        rows leave.  Exact at the window's current ``q`` (the same linear
+        fold :meth:`win_materialize` applies, element-wise identical), so
+        an event that fired at a stale conservative bound can re-plan
+        without materialising.  The caller must have accumulated the
+        window to *now* first.
+        """
+        win = self.win
+        t_next = math.inf
+        t_rest = math.inf
+        due: list[DownloadEntry] = []
+        for swarm in self._members:
+            t_c, rows, t_r = _win_due(win, swarm.store, eps)
+            if t_c < t_next:
+                t_next = t_c
+            if t_r < t_rest:
+                t_rest = t_r
+            due.extend(rows)
+        return t_next, due, t_rest
+
+    def win_complete(self, entry: DownloadEntry, records) -> None:
+        """Retire one due row without closing the window (per-row fold).
+
+        Applies the uniform fold to just this row (same expression as
+        :meth:`win_materialize`), settles its deferred received-from-virtual
+        integral into the user record, freezes its final (unclipped -- the
+        window invariant guarantees no row clips) rate into the detached
+        entry, and removes its capacity from the window's running total.
+        ``q_max``/``ratio_min`` are left stale-conservative: the departed
+        row can only have made them tighter than necessary, never unsafe.
+        """
+        win = self.win
+        swarm = self._swarm(entry.file_id)
+        store = swarm.store
+        # settle adds cap*C to the flushed integral and re-biases the row for a
+        # later uniform fold; the row leaves before any such fold, so zero the
+        # re-bias below rather than carrying it out on the detached entry
+        swarm.settle_received(entry, records)
+        slot = entry._slot
+        tft = float(store.tft_upload[slot])
+        cap = float(store.download_cap[slot])
+        rem = float(store.remaining[slot]) - (
+            win.eta * tft * (win.t - win.t_start) + cap * win.B
+        )
+        store.remaining[slot] = rem if rem > 0.0 else 0.0
+        store.received_virtual_acc[slot] = 0.0
+        store.rate[slot] = win.eta * tft + cap * win.q
+        store.rate_from_virtual[slot] = cap * win.qv
+        win.total_cap -= cap
+        swarm.pop_entry((entry.user_id, entry.file_id))
+        if self.n_downloaders == 0:
+            win.total_cap = 0.0  # resorb subtraction drift exactly
+
+    def win_materialize(self, t: float) -> None:
+        """Fold the window into every member row; the window goes inactive.
+
+        Rates are *not* refreshed here -- every row still carries its
+        window-start rate, so the caller must follow up with a recompute
+        (or seeds-strength incremental refresh) before anything reads them.
+        """
+        win = self.win
+        if not win.active:
+            return
+        self.win_accumulate(t)
+        coef_t = win.eta * (win.t - win.t_start)
+        for swarm in self._members:
+            store = swarm.store
+            n = store.n
+            if n and (coef_t or win.B):
+                remaining = store.remaining[:n]
+                np.subtract(
+                    remaining,
+                    coef_t * store.tft_upload[:n] + win.B * store.download_cap[:n],
+                    out=remaining,
+                )
+                np.maximum(remaining, 0.0, out=remaining)
+            if n and win.C:
+                acc = store.received_virtual_acc[:n]
+                np.add(acc, win.C * store.download_cap[:n], out=acc)
+            swarm.last_update = win.t
+            store._sync = None
+        win.active = False
+
+
+class Swarm(_RateDomain):
+    """Population of one file, with its own lazy-progress clock.
+
+    Under ``SUBTORRENT`` a swarm is its own rate domain (one member:
+    itself); under ``GLOBAL_POOL`` it is a member of its group's.
+    """
+
+    _KERNEL = "mesh"
 
     def __init__(self, file_id: int):
         self.file_id = file_id
@@ -371,8 +792,6 @@ class Swarm:
         self.epoch = 0
         #: tracker-sampled neighbour sets per user (empty dict = full mesh)
         self._neighbors: _VersionedDict = _VersionedDict()
-        #: when True, rates only flow along neighbour connections
-        self.neighbor_aware = False
         #: (versions) -> topology-derived kernel state; see
         #: :meth:`_neighbor_topology`
         self._topology_cache: tuple | None = None
@@ -380,10 +799,9 @@ class Swarm:
         #: lazily by the first full topology rebuild); ``None`` until then
         #: or after a structural desync
         self._topo_state: _TopoState | None = None
-        #: (store.version, total_cap, share) from the last full-mesh kernel
-        #: pass; reused by :meth:`recompute_rates_incremental` while swarm
-        #: membership is unchanged (the share vector only depends on it)
-        self._mesh_cache: tuple | None = None
+        #: a SUBTORRENT domain's only member is the swarm itself
+        self._members = (self,)
+        self._share_cache = None
         #: integral of time this swarm's virtual seeds were uploading
         #: (advanced lazily; see :meth:`settle_virtual_seed`)
         self.virtual_busy_time = 0.0
@@ -394,6 +812,10 @@ class Swarm:
         #: (the pool is one rate domain), so :meth:`settle_received` always
         #: sees the integrals that govern this swarm's rows.
         self.win = RateWindow()
+
+    def _swarm(self, file_id: int) -> "Swarm":
+        """The member holding ``file_id``'s rows: this swarm itself."""
+        return self
 
     @property
     def neighbors(self) -> dict[int, set[int]]:
@@ -467,40 +889,6 @@ class Swarm:
             .reshape(num_classes, num_classes)
             .astype(float)
         )
-
-    # ----- per-swarm lazy progress (SUBTORRENT fast path) -------------------------
-
-    def advance(self, t: float, records: Mapping[int, UserRecord] | None = None) -> None:
-        """Integrate current rates up to ``t`` (swarm-local).
-
-        Virtual-seed give/take is *not* pushed into user records here:
-        received bandwidth accumulates in the store's
-        ``received_virtual_acc`` column and upload time in the
-        :attr:`virtual_busy_time` integral, both flushed into records by
-        :meth:`sync_virtual_accounting` (or the per-user settle hooks).
-        The ``records`` argument is kept for interface compatibility with
-        the scalar oracle, which still accounts eagerly.
-        """
-        del records  # accounting is deferred; see docstring
-        dt = t - self.last_update
-        if dt < -1e-9:
-            raise ValueError(f"cannot advance swarm backwards ({self.last_update} -> {t})")
-        if dt <= 0:
-            self.last_update = t
-            return
-        store = self.store
-        n = store.n
-        if n:
-            remaining = store.remaining[:n]
-            np.subtract(remaining, store.rate[:n] * dt, out=remaining)
-            np.maximum(remaining, 0.0, out=remaining)
-            if self.virtual_seeds:
-                acc = store.received_virtual_acc[:n]
-                np.add(acc, store.rate_from_virtual[:n] * dt, out=acc)
-                # swarm-local rule: virtual seeds upload only while this
-                # swarm has downloaders (n > 0 here)
-                self.virtual_busy_time += dt
-        self.last_update = t
 
     # ----- deferred virtual give/take accounting ---------------------------------
 
@@ -786,161 +1174,35 @@ class Swarm:
         self._topo_note(2 if virtual else 3)
 
     def recompute_rates(self, eta: float) -> None:
-        """Refresh entry rates from swarm-local allocations.
+        """Refresh entry rates from swarm-local allocations (full kernel).
 
-        Rates are capped at each entry's download bandwidth (a peer cannot
-        receive faster than its link); the cap only binds in drain tails
-        where few downloaders face many seeds.  Under ``neighbor_aware``
-        the full-mesh math is replaced by per-connection flows (see
-        :meth:`_recompute_rates_neighbor_aware`).
+        Runs the domain's share kernel (see :meth:`_share_pass`); under
+        ``neighbor_aware`` the full-mesh math is replaced by per-connection
+        flows (see :meth:`_recompute_rates_neighbor_aware`).
         """
-        self.epoch += 1
-        reg = current_registry()
         if self.neighbor_aware:
             # full-vs-incremental accounting happens inside
             # _neighbor_topology, which knows whether it rebuilt or gathered
+            self.epoch += 1
             self._recompute_rates_neighbor_aware(eta)
             return
-        if reg.enabled:
-            reg.inc("sim.kernel.mesh.full")
-            reg.inc("sim.kernel.mesh.peers", self.store.n)
-        store = self.store
-        n = store.n
-        if n == 0:
-            self._mesh_cache = (store.version, 0.0, None)
-            return
-        sv = self.virtual_seeds.total
-        sr = self.real_seeds.total
-        if n <= SCALAR_KERNEL_CUTOFF:
-            # scalar fast path; the cached share is kept as a list so the
-            # incremental path stays scalar for the same membership
-            caps = store.download_cap[:n].tolist()
-            tft = store.tft_upload[:n].tolist()
-            total_cap = 0.0
-            for c in caps:
-                total_cap += c
-            pool = sv + sr
-            share: "list | np.ndarray" = [0.0] * n
-            rate_l = [0.0] * n
-            rfv_l = [0.0] * n
-            for i in range(n):
-                c = caps[i]
-                s = c / total_cap if total_cap > 0.0 else 0.0
-                r = eta * tft[i] + s * pool
-                rv = s * sv
-                if r > c > 0.0:
-                    rv *= c / r
-                    r = c
-                share[i] = s
-                rate_l[i] = r
-                rfv_l[i] = rv
-            store.rate[:n] = rate_l
-            store.rate_from_virtual[:n] = rfv_l
-            self._mesh_cache = (store.version, total_cap, share)
-            return
-        caps = store.download_cap[:n]
-        total_cap = float(np.sum(caps))
-        if total_cap > 0:
-            share = caps / total_cap
-        else:
-            share = np.zeros(n)
-        rate = eta * store.tft_upload[:n] + share * (sv + sr)
-        rate_from_virtual = share * sv
-        _apply_download_caps(rate, rate_from_virtual, caps)
-        store.rate[:n] = rate
-        store.rate_from_virtual[:n] = rate_from_virtual
-        self._mesh_cache = (store.version, total_cap, share)
+        self._share_pass(eta)
 
     def recompute_rates_incremental(
         self, eta: float, entries: "list[DownloadEntry] | None" = None
     ) -> bool:
-        """Refresh rates reusing the cached capacity shares when possible.
-
-        Valid only while membership is unchanged since the last full pass
-        (the cached ``share = caps / total_cap`` vector depends only on
-        membership and download caps, both frozen between attach/detach):
-
-        * ``entries=None`` -- seed capacity changed: every row's rate is
-          refreshed from the cached shares and the O(1) seed totals,
-          skipping the capacity reduction and division.
-        * ``entries=[...]`` -- only those downloaders' ``tft_upload``
-          changed: just their rows are rewritten, scalar math identical
-          (bit-for-bit) to the vectorised kernel's per-element operations.
-
-        Returns ``False`` on cache miss (no pass yet, membership moved, or
+        """Refresh rates from the cached capacity shares (see
+        :meth:`_share_refresh`); ``False`` on a cache miss or under
         neighbour-aware allocation, whose topology products have their own
-        cache); the caller then falls back to :meth:`recompute_rates`,
-        which is the oracle this path must match exactly.
-        """
+        cache.  :meth:`recompute_rates` is the oracle this must match."""
         if self.neighbor_aware:
             return False
-        store = self.store
-        cache = self._mesh_cache
-        if cache is None or cache[0] != store.version:
-            return False
-        n = store.n
-        self.epoch += 1
-        reg = current_registry()
-        if n == 0:
-            if reg.enabled:
-                reg.inc("sim.kernel.mesh.incremental")
-            return True
-        share = cache[2]
-        sv = self.virtual_seeds.total
-        sr = self.real_seeds.total
-        if entries is not None and 4 * len(entries) > n:
-            entries = None  # vector pass is cheaper than many scalar rows
-        if entries is None:
-            if type(share) is list:  # small swarm: the full pass was scalar
-                caps = store.download_cap[:n].tolist()
-                tft = store.tft_upload[:n].tolist()
-                pool = sv + sr
-                rate_l = [0.0] * n
-                rfv_l = [0.0] * n
-                for i in range(n):
-                    s = share[i]
-                    r = eta * tft[i] + s * pool
-                    rv = s * sv
-                    c = caps[i]
-                    if r > c > 0.0:
-                        rv *= c / r
-                        r = c
-                    rate_l[i] = r
-                    rfv_l[i] = rv
-                store.rate[:n] = rate_l
-                store.rate_from_virtual[:n] = rfv_l
-            else:
-                caps = store.download_cap[:n]
-                rate = eta * store.tft_upload[:n] + share * (sv + sr)
-                rate_from_virtual = share * sv
-                _apply_download_caps(rate, rate_from_virtual, caps)
-                store.rate[:n] = rate
-                store.rate_from_virtual[:n] = rate_from_virtual
-            if reg.enabled:
-                reg.inc("sim.kernel.mesh.incremental")
-                reg.inc("sim.kernel.mesh.rows", n)
-            return True
-        pool = sv + sr
-        rows = 0
-        for entry in entries:
-            if entry._store is not store:
-                continue  # departed since it was marked dirty
-            i = entry._slot
-            s = float(share[i])
-            rate = eta * float(store.tft_upload[i]) + s * pool
-            rate_from_virtual = s * sv
-            cap = float(store.download_cap[i])
-            if rate > cap > 0:
-                scale = cap / rate
-                rate = cap
-                rate_from_virtual *= scale
-            store.rate[i] = rate
-            store.rate_from_virtual[i] = rate_from_virtual
-            rows += 1
-        if reg.enabled:
-            reg.inc("sim.kernel.mesh.incremental")
-            reg.inc("sim.kernel.mesh.rows", rows)
-        return True
+        return self._share_refresh(eta, entries)
+
+    def _recompute(self, eta: float, entries=None, *, incremental=True) -> None:
+        """Incremental refresh when allowed and valid, else the full kernel."""
+        if not (incremental and self.recompute_rates_incremental(eta, entries)):
+            self.recompute_rates(eta)
 
     def _recompute_rates_neighbor_aware(self, eta: float) -> None:
         """Bounded-connectivity allocation as adjacency matrix + matmul.
@@ -1232,253 +1494,19 @@ class Swarm:
         remaining = store.remaining[:n]
         return [store.entries[i] for i in np.flatnonzero(remaining <= slack)]
 
-    # ----- deferred integration (swarm-local rate domain) -------------------------
-    #
-    # These drive :class:`~repro.sim.bandwidth.RateWindow` for a SUBTORRENT
-    # domain; the system only calls them on swarms that own their window
-    # (never on GLOBAL_POOL members, which share the group's).
-
-    def win_start(self, eta: float, t: float, bound: float, sync) -> bool:
-        """Open a deferred window after an exact flush (rates fresh at ``t``).
-
-        Refuses when the factorised trajectory cannot represent this state:
-        neighbour-aware allocation, a stale share cache, a zero-cap row
-        (rounds ``q_max`` down to the unusable ``-inf``) or an already
-        clipped rate.
-        """
-        if self.neighbor_aware:
-            return False
-        store = self.store
-        cache = self._mesh_cache
-        if cache is None or cache[0] != store.version:
-            return False
-        total_cap = cache[1]
-        sv = self.virtual_seeds.total
-        sr = self.real_seeds.total
-        if total_cap > 0.0:
-            q = (sv + sr) / total_cap
-            qv = sv / total_cap
-        else:
-            q = qv = 0.0
-        n = store.n
-        if n:
-            caps = store.download_cap[:n]
-            if float(caps.min()) <= 0.0:
-                return False
-            ratios = eta * (store.tft_upload[:n] / caps)
-            q_max = 1.0 - float(ratios.max())
-            if q > q_max:
-                return False
-            ratio_min = float(ratios.min())
-        else:
-            q_max = math.inf
-            ratio_min = math.inf
-        self.win.start(
-            eta=eta,
-            t=t,
-            q=q,
-            qv=qv,
-            q_max=q_max,
-            ratio_min=ratio_min,
-            total_cap=total_cap,
-            bound=bound,
-        )
-        store._sync = sync
-        return True
-
-    def win_accumulate(self, t: float) -> None:
-        """Extend the window's integrals to ``t`` (before any mutation)."""
-        dt = self.win.accumulate(t)
-        if dt > 0.0 and self.virtual_seeds and self.store.n:
-            # same rule as :meth:`advance`: swarm-local virtual seeds are
-            # busy only while this swarm has downloaders
-            self.virtual_busy_time += dt
-
-    def win_bias_attached(self, entry: DownloadEntry) -> None:
-        """Pre-charge a freshly attached row so the uniform fold is exact."""
-        _win_bias_row(self.win, self.store, entry._slot)
-
-    def win_refresh(self, joins: "list[DownloadEntry] | None" = None) -> bool:
-        """Absorb seed/join mutations into the window in O(changes).
-
-        Recomputes ``q``/``qv`` from the O(1) seed totals and the running
-        ``total_cap``, updates the completion bound, and folds each join's
-        own time-to-completion in.  ``False`` means the window cannot hold
-        the new state -- materialise and take the exact path.
-        """
-        win = self.win
-        total_cap = win.total_cap
-        sv = self.virtual_seeds.total
-        sr = self.real_seeds.total
-        if total_cap > 0.0:
-            q = (sv + sr) / total_cap
-            qv = sv / total_cap
-        else:
-            q = qv = 0.0
-        if not win.refresh(q, qv, self.store.n):
-            return False
-        if joins:
-            store = self.store
-            for entry in joins:
-                if entry._store is not store:
-                    continue  # departed again before the flush
-                win.note_row(_win_join_eta(win, store, entry._slot, q))
-        return True
-
-    def win_next_completion(self) -> "tuple[float, DownloadEntry | None]":
-        """Earliest completion under the open window, without materialising.
-
-        Exact at the window's current ``q`` (the same linear fold the
-        materialise pass applies, element-wise identical), so a completion
-        event that fired at a stale conservative bound can re-plan in one
-        vector pass and keep the window open.  The caller must have
-        accumulated the window to *now* first.  Returns ``(time, entry)``
-        of the earliest row (``(inf, None)`` when empty).
-        """
-        win = self.win
-        return _win_next_completion(win, self.store, win.t)
-
-    def win_due(self, eps: float) -> "tuple[float, list[DownloadEntry], float]":
-        """Entries due within ``eps`` of now, judged in window space.
-
-        Returns ``(t_next, due, t_rest)``: the earliest completion time
-        (``inf`` when empty), the due rows, and the earliest completion
-        among the rows that stay -- the window's next bound once the due
-        rows leave.  The caller must have accumulated the window to *now*
-        first.
-        """
-        win = self.win
-        return _win_due(win, self.store, win.t, eps)
-
-    def win_complete(self, entry: DownloadEntry, records) -> None:
-        """Retire one due row without closing the window (per-row fold)."""
-        _win_complete_row(self.win, self, records, entry)
-        if self.store.n == 0:
-            self.win.total_cap = 0.0  # resorb subtraction drift exactly
-
-    def win_materialize(self, t: float) -> None:
-        """Fold the window into per-row state; the window goes inactive.
-
-        Rates are *not* refreshed here -- every row still carries its
-        window-start rate, so the caller must follow up with a recompute
-        (or seeds-strength incremental refresh) before anything reads them.
-        """
-        win = self.win
-        if not win.active:
-            return
-        self.win_accumulate(t)
-        _win_fold_store(win, self.store)
-        self.last_update = win.t
-        win.active = False
-        self.store._sync = None
-
-
-#: shared placeholder for the cached share vector of an empty swarm
-_EMPTY_SHARE = np.zeros(0)
-
-
-def _win_bias_row(win: RateWindow, store: PeerStore, slot: int) -> None:
-    """Adopt one freshly attached row into an open window.
-
-    Pre-charges the row's stored state with the integrals accumulated
-    before it joined (so the eventual uniform fold is exact) and folds its
-    capacity and tft/cap ratio into the window's scalars.
-    """
-    tft = float(store.tft_upload[slot])
-    cap = float(store.download_cap[slot])
-    bias = win.eta * tft * (win.t - win.t_start) + cap * win.B
-    if bias:
-        store.remaining[slot] += bias
-    if win.C:
-        store.received_virtual_acc[slot] -= cap * win.C
-    win.total_cap += cap
-    if cap > 0.0:
-        ratio = win.eta * tft / cap
-        thr = 1.0 - ratio
-        if thr < win.q_max:
-            win.q_max = thr
-        if ratio < win.ratio_min:
-            win.ratio_min = ratio
-    else:
-        win.q_max = -math.inf  # zero-cap row: next refresh materialises
-
-
-def _win_join_eta(win: RateWindow, store: PeerStore, slot: int, q: float) -> float:
-    """Unclipped time-to-completion of a just-joined (biased) row."""
-    tft = float(store.tft_upload[slot])
-    cap = float(store.download_cap[slot])
-    rate = win.eta * tft + cap * q
-    if rate <= 0.0:
-        return math.inf
-    remaining = (
-        float(store.remaining[slot])
-        - win.eta * tft * (win.t - win.t_start)
-        - cap * win.B
-    )
-    return remaining / rate if remaining > 0.0 else 0.0
-
-
-def _win_fold_store(win: RateWindow, store: PeerStore) -> None:
-    """Apply the window's integrals to every row of one store, in place."""
-    n = store.n
-    if not n:
-        return
-    coef_t = win.eta * (win.t - win.t_start)
-    if coef_t or win.B:
-        remaining = store.remaining[:n]
-        np.subtract(
-            remaining,
-            coef_t * store.tft_upload[:n] + win.B * store.download_cap[:n],
-            out=remaining,
-        )
-        np.maximum(remaining, 0.0, out=remaining)
-    if win.C:
-        acc = store.received_virtual_acc[:n]
-        np.add(acc, win.C * store.download_cap[:n], out=acc)
-
-
-def _win_next_completion(
-    win: RateWindow, store: PeerStore, t: float
-) -> "tuple[float, DownloadEntry | None]":
-    """Earliest completion of one store's rows under an open window.
-
-    Uses the same per-element fold expression as :func:`_win_fold_store`,
-    so "due at materialise" and "due here" agree bit-for-bit.
-    """
-    if not store.n:
-        return math.inf, None
-    etas = _win_etas(win, store)
-    i = int(np.argmin(etas))
-    return t + float(etas[i]), store.entries[i]
-
-
-def _win_etas(win: RateWindow, store: PeerStore) -> np.ndarray:
-    """Per-row time-to-completion under the open window.
-
-    The remaining-work expression matches :func:`_win_fold_store`
-    element-wise, so every judgement made here agrees bit-for-bit with
-    what a materialise would produce.  Rates are sums of nonnegative
-    terms, so plain division suffices: a stalled positive row divides to
-    ``+inf`` and every finished row is forced due by the final mask.
-    """
-    n = store.n
-    tft = store.tft_upload[:n]
-    caps = store.download_cap[:n]
-    coef_t = win.eta * (win.t - win.t_start)
-    remaining = store.remaining[:n] - (coef_t * tft + win.B * caps)
-    rate = win.eta * tft + win.q * caps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        etas = remaining / rate
-    etas[remaining <= 0.0] = 0.0  # done rows are due regardless of rate
-    return etas
-
 
 def _win_due(
-    win: RateWindow, store: PeerStore, t: float, eps: float
+    win: RateWindow, store: PeerStore, eps: float
 ) -> "tuple[float, list[DownloadEntry], float]":
-    """Earliest completion, the rows due within ``eps``, and the earliest
-    *non-due* completion (the bound the window keeps once the due rows
-    leave; ``inf`` when every row is due)."""
+    """One store's earliest completion under the open window, its rows due
+    within ``eps``, and the earliest *non-due* completion (the bound the
+    window keeps once the due rows leave; ``inf`` when every row is due).
+
+    The remaining-work expression matches the fold in
+    :meth:`_RateDomain.win_materialize` element-wise, so every judgement
+    made here agrees bit-for-bit with what a materialise would produce.
+    """
+    t = win.t
     n = store.n
     if not n:
         return math.inf, [], math.inf
@@ -1514,7 +1542,16 @@ def _win_due(
                 t_rest = e
         t_next = t_due if t_due < t_rest else t_rest
         return t + t_next, due, t + t_rest if t_rest < math.inf else math.inf
-    etas = _win_etas(win, store)
+    tft = store.tft_upload[:n]
+    caps = store.download_cap[:n]
+    coef_t = win.eta * (win.t - win.t_start)
+    remaining = store.remaining[:n] - (coef_t * tft + win.B * caps)
+    rate = win.eta * tft + win.q * caps
+    # rates are sums of nonnegative terms, so plain division suffices: a
+    # stalled positive row divides to ``+inf``
+    with np.errstate(divide="ignore", invalid="ignore"):
+        etas = remaining / rate
+    etas[remaining <= 0.0] = 0.0  # done rows are due regardless of rate
     t_min = float(etas.min())
     if t_min > eps:
         t_next = t + t_min
@@ -1527,34 +1564,41 @@ def _win_due(
     return t + t_min, due, t_rest
 
 
-def _win_complete_row(win: RateWindow, swarm, records, entry: DownloadEntry) -> None:
-    """Detach one due row from an open window without folding the rest.
+def _write_rates(
+    store: PeerStore, share: "list | np.ndarray", eta: float, pool: float, sv: float
+) -> None:
+    """Write one store's rates from its capacity shares and the seed pool.
 
-    Applies the uniform fold to just this row (same expression as
-    :func:`_win_fold_store`), settles its deferred received-from-virtual
-    integral into the user record, freezes its final (unclipped -- the
-    window invariant guarantees no row clips) rate into the detached
-    entry, and removes its capacity from the window's running total.
-    ``q_max``/``ratio_min`` are left stale-conservative: the departed row
-    can only have made them tighter than necessary, never unsafe.
+    ``rate = eta * tft + share * pool`` and ``rate_from_virtual = share *
+    sv``, clipped at the download cap.  A list ``share`` (small domains)
+    takes a scalar loop performing the same IEEE operations element-wise as
+    the vector path, so results are identical.
     """
-    store = swarm.store
-    # settle adds cap*C to the flushed integral and re-biases the row for a
-    # later uniform fold; the row leaves before any such fold, so zero the
-    # re-bias below rather than carrying it out on the detached entry
-    swarm.settle_received(entry, records)
-    slot = entry._slot
-    tft = float(store.tft_upload[slot])
-    cap = float(store.download_cap[slot])
-    rem = float(store.remaining[slot]) - (
-        win.eta * tft * (win.t - win.t_start) + cap * win.B
-    )
-    store.remaining[slot] = rem if rem > 0.0 else 0.0
-    store.received_virtual_acc[slot] = 0.0
-    store.rate[slot] = win.eta * tft + cap * win.q
-    store.rate_from_virtual[slot] = cap * win.qv
-    win.total_cap -= cap
-    swarm.pop_entry((entry.user_id, entry.file_id))
+    n = len(share)
+    if type(share) is list:
+        caps = store.download_cap[:n].tolist()
+        tft = store.tft_upload[:n].tolist()
+        rate_l = [0.0] * n
+        rfv_l = [0.0] * n
+        for i in range(n):
+            s = share[i]
+            r = eta * tft[i] + s * pool
+            rv = s * sv
+            c = caps[i]
+            if r > c > 0.0:
+                rv *= c / r
+                r = c
+            rate_l[i] = r
+            rfv_l[i] = rv
+        store.rate[:n] = rate_l
+        store.rate_from_virtual[:n] = rfv_l
+        return
+    caps = store.download_cap[:n]
+    rate = eta * store.tft_upload[:n] + share * pool
+    rate_from_virtual = share * sv
+    _apply_download_caps(rate, rate_from_virtual, caps)
+    store.rate[:n] = rate
+    store.rate_from_virtual[:n] = rate_from_virtual
 
 
 def _apply_download_caps(
@@ -1572,8 +1616,12 @@ def _apply_download_caps(
         rate[over] = caps[over]
 
 
-class SwarmGroup:
+class SwarmGroup(_RateDomain):
     """One torrent: swarms for each published file plus seed bookkeeping.
+
+    Under ``GLOBAL_POOL`` the group is one rate domain over all its member
+    swarms; under ``SUBTORRENT`` each member swarm is its own (see
+    ``_domains``).
 
     Parameters
     ----------
@@ -1586,10 +1634,14 @@ class SwarmGroup:
     policy:
         Seed-placement policy (see :class:`SeedPolicy`).
     records:
-        Optional ``user_id -> UserRecord`` mapping; when given, virtual-seed
-        give/take is integrated into the records during advancement (the
-        Adapt observable).
+        Optional ``user_id -> UserRecord`` mapping that virtual-seed
+        give/take (the Adapt observable) is flushed into.  Accounting is
+        deferred: advancement only grows per-swarm integrals, which
+        :meth:`sync_accounting`, :meth:`sync_user_accounting` and the
+        per-row settle hooks fold into the records.
     """
+
+    _KERNEL = "pool"
 
     def __init__(
         self,
@@ -1609,15 +1661,18 @@ class SwarmGroup:
         self.policy = policy
         self.swarms: dict[int, Swarm] = {f: Swarm(f) for f in file_ids}
         self.records = records
-        #: (per-swarm store versions, total_cap, {file_id: share}) from the
-        #: last full pool pass; see :meth:`recompute_rates_all_incremental`
-        self._pool_cache: tuple | None = None
+        self._members = tuple(self.swarms.values())
+        self._share_cache = None
         #: deferred-integration window for the pooled rate domain; under
         #: ``GLOBAL_POOL`` every member swarm aliases it so row-level hooks
         #: (:meth:`Swarm.settle_received`) see the governing integrals
         self.win = RateWindow()
+        #: the rate domains this group's rows live in: the group itself
+        #: when pooled, else one per member swarm
+        self._domains: tuple[_RateDomain, ...] = self._members
         if policy is SeedPolicy.GLOBAL_POOL:
-            for swarm in self.swarms.values():
+            self._domains = (self,)
+            for swarm in self._members:
                 swarm.win = self.win
 
     # ----- membership ---------------------------------------------------------
@@ -1737,41 +1792,7 @@ class SwarmGroup:
     def total_real_capacity(self) -> float:
         return sum(s.real_seeds.total for s in self.swarms.values())
 
-    # ----- group-level lazy progress (GLOBAL_POOL path) ----------------------------
-
-    def advance_all(self, t: float) -> None:
-        """Integrate rates to ``t`` for every swarm (pool coupling).
-
-        Virtual-seed *give* accounting differs from the swarm-local rule:
-        the pool is fully utilised whenever anyone in the group downloads,
-        so a virtual seed on an empty swarm still uploads -- its swarm's
-        busy-time integral advances whenever the *group* is busy.  As in
-        :meth:`Swarm.advance`, give/take lands in deferred accumulators,
-        not directly in the user records.
-        """
-        group_busy = self.n_downloaders > 0
-        pool_has_virtual = any(s.virtual_seeds for s in self.swarms.values())
-        for swarm in self.swarms.values():
-            dt = t - swarm.last_update
-            if dt < -1e-9:
-                raise ValueError(
-                    f"cannot advance group backwards ({swarm.last_update} -> {t})"
-                )
-            if dt <= 0:
-                swarm.last_update = t
-                continue
-            store = swarm.store
-            n = store.n
-            if n:
-                remaining = store.remaining[:n]
-                np.subtract(remaining, store.rate[:n] * dt, out=remaining)
-                np.maximum(remaining, 0.0, out=remaining)
-                if pool_has_virtual:
-                    acc = store.received_virtual_acc[:n]
-                    np.add(acc, store.rate_from_virtual[:n] * dt, out=acc)
-            if group_busy and swarm.virtual_seeds:
-                swarm.virtual_busy_time += dt
-            swarm.last_update = t
+    # ----- deferred accounting ----------------------------------------------------
 
     def sync_accounting(self) -> None:
         """Flush all deferred virtual give/take integrals into the records."""
@@ -1790,169 +1811,26 @@ class SwarmGroup:
             if user_id in swarm.virtual_seeds:
                 swarm.settle_virtual_seed(user_id, records)
 
-    def recompute_rates_all(self) -> None:
-        """Refresh every entry's rate from the group-wide pool.
+    # ----- the pool kernel (GLOBAL_POOL) ---------------------------------------------
 
-        As in :meth:`Swarm.recompute_rates`, rates are capped at the
-        entry's download bandwidth.  The pool totals are computed once and
-        each swarm's store is updated with vectorised operations.
-        """
-        eta = self.eta
-        total_n = self.n_downloaders
-        reg = current_registry()
-        if reg.enabled:
-            reg.inc("sim.kernel.pool.full")
-            reg.inc("sim.kernel.pool.peers", total_n)
-        pool_virtual = self.total_virtual_capacity()
-        pool_real = self.total_real_capacity()
-        pool = pool_virtual + pool_real
-        if total_n <= SCALAR_KERNEL_CUTOFF:
-            # scalar fast path for small pools; shares cached as lists so
-            # the incremental path dispatches scalar for the same state
-            caps_by_file: dict[int, list] = {}
-            total_cap = 0.0
-            for swarm in self.swarms.values():
-                caps = swarm.store.download_cap[: swarm.store.n].tolist()
-                caps_by_file[swarm.file_id] = caps
-                for c in caps:
-                    total_cap += c
-            shares: dict[int, "list | np.ndarray"] = {}
-            for swarm in self.swarms.values():
-                swarm.epoch += 1
-                store = swarm.store
-                n = store.n
-                if n == 0:
-                    shares[swarm.file_id] = []
-                    continue
-                caps = caps_by_file[swarm.file_id]
-                tft = store.tft_upload[:n].tolist()
-                share = [0.0] * n
-                rate_l = [0.0] * n
-                rfv_l = [0.0] * n
-                for i in range(n):
-                    c = caps[i]
-                    s = c / total_cap if total_cap > 0.0 else 0.0
-                    r = eta * tft[i] + s * pool
-                    rv = s * pool_virtual
-                    if r > c > 0.0:
-                        rv *= c / r
-                        r = c
-                    share[i] = s
-                    rate_l[i] = r
-                    rfv_l[i] = rv
-                store.rate[:n] = rate_l
-                store.rate_from_virtual[:n] = rfv_l
-                shares[swarm.file_id] = share
-            versions = tuple(s.store.version for s in self.swarms.values())
-            self._pool_cache = (versions, total_cap, shares)
-            return
-        total_cap = 0.0
-        for swarm in self.swarms.values():
-            store = swarm.store
-            total_cap += float(np.sum(store.download_cap[: store.n]))
-        shares = {}
-        for swarm in self.swarms.values():
-            swarm.epoch += 1
-            store = swarm.store
-            n = store.n
-            if n == 0:
-                shares[swarm.file_id] = _EMPTY_SHARE
-                continue
-            caps = store.download_cap[:n]
-            if total_cap > 0:
-                share = caps / total_cap
-            else:
-                share = np.zeros(n)
-            rate = eta * store.tft_upload[:n] + share * pool
-            rate_from_virtual = share * pool_virtual
-            _apply_download_caps(rate, rate_from_virtual, caps)
-            store.rate[:n] = rate
-            store.rate_from_virtual[:n] = rate_from_virtual
-            shares[swarm.file_id] = share
-        versions = tuple(s.store.version for s in self.swarms.values())
-        self._pool_cache = (versions, total_cap, shares)
+    def recompute_rates_all(self) -> None:
+        """Refresh every entry's rate from the group-wide pool (full kernel,
+        see :meth:`_share_pass`)."""
+        self._share_pass(self.eta)
 
     def recompute_rates_all_incremental(
         self, entries: "list[DownloadEntry] | None" = None
     ) -> bool:
-        """Pool-coupled counterpart of :meth:`Swarm.recompute_rates_incremental`.
+        """Pool-coupled counterpart of :meth:`Swarm.recompute_rates_incremental`
+        (see :meth:`_share_refresh`); ``False`` on cache miss."""
+        return self._share_refresh(self.eta, entries)
 
-        Reuses the per-swarm share vectors cached by the last full pass
-        while every swarm's membership is unchanged.  ``entries=None``
-        refreshes all rows from the O(1) pool totals; a list of entries
-        rewrites just those rows.  Returns ``False`` on cache miss.
-        """
-        cache = self._pool_cache
-        if cache is None:
-            return False
-        versions = tuple(s.store.version for s in self.swarms.values())
-        if versions != cache[0]:
-            return False
-        shares = cache[2]
-        pool_virtual = self.total_virtual_capacity()
-        pool_real = self.total_real_capacity()
-        pool = pool_virtual + pool_real
-        eta = self.eta
-        for swarm in self.swarms.values():
-            swarm.epoch += 1
-        reg = current_registry()
-        if entries is not None and 4 * len(entries) > self.n_downloaders:
-            entries = None  # vector pass is cheaper than many scalar rows
-        rows = 0
-        if entries is None:
-            for swarm in self.swarms.values():
-                store = swarm.store
-                n = store.n
-                if n == 0:
-                    continue
-                share = shares[swarm.file_id]
-                if type(share) is list:  # small pool: the full pass was scalar
-                    caps = store.download_cap[:n].tolist()
-                    tft = store.tft_upload[:n].tolist()
-                    rate_l = [0.0] * n
-                    rfv_l = [0.0] * n
-                    for i in range(n):
-                        s = share[i]
-                        r = eta * tft[i] + s * pool
-                        rv = s * pool_virtual
-                        c = caps[i]
-                        if r > c > 0.0:
-                            rv *= c / r
-                            r = c
-                        rate_l[i] = r
-                        rfv_l[i] = rv
-                    store.rate[:n] = rate_l
-                    store.rate_from_virtual[:n] = rfv_l
-                else:
-                    caps = store.download_cap[:n]
-                    rate = eta * store.tft_upload[:n] + share * pool
-                    rate_from_virtual = share * pool_virtual
-                    _apply_download_caps(rate, rate_from_virtual, caps)
-                    store.rate[:n] = rate
-                    store.rate_from_virtual[:n] = rate_from_virtual
-                rows += n
-        else:
-            for entry in entries:
-                swarm = self.swarms.get(entry.file_id)
-                if swarm is None or entry._store is not swarm.store:
-                    continue  # departed since it was marked dirty
-                store = swarm.store
-                i = entry._slot
-                s = float(shares[entry.file_id][i])
-                rate = eta * float(store.tft_upload[i]) + s * pool
-                rate_from_virtual = s * pool_virtual
-                cap = float(store.download_cap[i])
-                if rate > cap > 0:
-                    scale = cap / rate
-                    rate = cap
-                    rate_from_virtual *= scale
-                store.rate[i] = rate
-                store.rate_from_virtual[i] = rate_from_virtual
-                rows += 1
-        if reg.enabled:
-            reg.inc("sim.kernel.pool.incremental")
-            reg.inc("sim.kernel.pool.rows", rows)
-        return True
+    def _recompute(self, eta: float, entries=None, *, incremental=True) -> None:
+        """Incremental refresh when allowed and valid, else the full kernel
+        (``eta`` is the group's own)."""
+        del eta
+        if not (incremental and self.recompute_rates_all_incremental(entries)):
+            self.recompute_rates_all()
 
     def next_completion_time(self) -> float:
         """Earliest completion over the whole group (``inf`` if none)."""
@@ -1960,144 +1838,3 @@ class SwarmGroup:
             (s.next_completion_time() for s in self.swarms.values()),
             default=math.inf,
         )
-
-    # ----- deferred integration (pooled rate domain) ------------------------------
-    #
-    # GLOBAL_POOL counterparts of the ``Swarm.win_*`` drivers: one shared
-    # window governs every member swarm's rows (they all ride the same
-    # ``q = pool / total_cap``).
-
-    def win_start(self, t: float, bound: float, sync) -> bool:
-        """Open a deferred window over the whole pool (see ``Swarm.win_start``)."""
-        cache = self._pool_cache
-        if cache is None:
-            return False
-        if tuple(s.store.version for s in self.swarms.values()) != cache[0]:
-            return False
-        total_cap = cache[1]
-        sv = self.total_virtual_capacity()
-        sr = self.total_real_capacity()
-        if total_cap > 0.0:
-            q = (sv + sr) / total_cap
-            qv = sv / total_cap
-        else:
-            q = qv = 0.0
-        eta = self.eta
-        q_max = math.inf
-        ratio_min = math.inf
-        for swarm in self.swarms.values():
-            store = swarm.store
-            n = store.n
-            if not n:
-                continue
-            caps = store.download_cap[:n]
-            if float(caps.min()) <= 0.0:
-                return False
-            ratios = eta * (store.tft_upload[:n] / caps)
-            thr = 1.0 - float(ratios.max())
-            if thr < q_max:
-                q_max = thr
-            rmin = float(ratios.min())
-            if rmin < ratio_min:
-                ratio_min = rmin
-        if q > q_max:
-            return False
-        self.win.start(
-            eta=eta,
-            t=t,
-            q=q,
-            qv=qv,
-            q_max=q_max,
-            ratio_min=ratio_min,
-            total_cap=total_cap,
-            bound=bound,
-        )
-        for swarm in self.swarms.values():
-            swarm.store._sync = sync
-        return True
-
-    def win_accumulate(self, t: float) -> None:
-        """Extend the pool window's integrals to ``t`` (before any mutation)."""
-        dt = self.win.accumulate(t)
-        if dt > 0.0 and self.n_downloaders:
-            # pool rule (see :meth:`advance_all`): virtual seeds upload
-            # whenever anyone in the group downloads
-            for swarm in self.swarms.values():
-                if swarm.virtual_seeds:
-                    swarm.virtual_busy_time += dt
-
-    def win_bias_attached(self, entry: DownloadEntry) -> None:
-        """Pre-charge a freshly attached row (see ``Swarm.win_bias_attached``)."""
-        _win_bias_row(self.win, self.swarms[entry.file_id].store, entry._slot)
-
-    def win_refresh(self, joins: "list[DownloadEntry] | None" = None) -> bool:
-        """Absorb seed/join mutations into the pool window in O(changes)."""
-        win = self.win
-        total_cap = win.total_cap
-        sv = self.total_virtual_capacity()
-        sr = self.total_real_capacity()
-        if total_cap > 0.0:
-            q = (sv + sr) / total_cap
-            qv = sv / total_cap
-        else:
-            q = qv = 0.0
-        if not win.refresh(q, qv, self.n_downloaders):
-            return False
-        if joins:
-            for entry in joins:
-                swarm = self.swarms.get(entry.file_id)
-                if swarm is None or entry._store is not swarm.store:
-                    continue  # departed again before the flush
-                win.note_row(_win_join_eta(win, swarm.store, entry._slot, q))
-        return True
-
-    def win_next_completion(self) -> "tuple[float, DownloadEntry | None]":
-        """Earliest completion across the pool under the open window
-        (see ``Swarm.win_next_completion``)."""
-        win = self.win
-        best_t = math.inf
-        best_entry = None
-        for swarm in self.swarms.values():
-            t_c, entry = _win_next_completion(win, swarm.store, win.t)
-            if t_c < best_t:
-                best_t = t_c
-                best_entry = entry
-        return best_t, best_entry
-
-    def win_due(self, eps: float) -> "tuple[float, list[DownloadEntry], float]":
-        """Rows due within ``eps`` across the pool (see ``Swarm.win_due``)."""
-        win = self.win
-        t_next = math.inf
-        t_rest = math.inf
-        due: list[DownloadEntry] = []
-        for swarm in self.swarms.values():
-            t_c, rows, t_r = _win_due(win, swarm.store, win.t, eps)
-            if t_c < t_next:
-                t_next = t_c
-            if t_r < t_rest:
-                t_rest = t_r
-            due.extend(rows)
-        return t_next, due, t_rest
-
-    def win_complete(self, entry: DownloadEntry, records=None) -> None:
-        """Retire one due row without closing the pool window."""
-        swarm = self.swarms[entry.file_id]
-        _win_complete_row(self.win, swarm, records or self.records, entry)
-        if self.n_downloaders == 0:
-            self.win.total_cap = 0.0  # resorb subtraction drift exactly
-
-    def win_materialize(self, t: float) -> None:
-        """Fold the pool window into every member store; window goes inactive.
-
-        As with ``Swarm.win_materialize``, rates stay at their window-start
-        values -- the caller must refresh them before they are read.
-        """
-        win = self.win
-        if not win.active:
-            return
-        self.win_accumulate(t)
-        for swarm in self.swarms.values():
-            _win_fold_store(win, swarm.store)
-            swarm.last_update = win.t
-            swarm.store._sync = None
-        win.active = False

@@ -12,11 +12,15 @@ same discipline:
 3. mark the domain dirty; a :meth:`flush` then recomputes its rates and
    refreshes its single pending *completion event*.
 
-A rate domain is one swarm for ``SUBTORRENT`` groups (rates never couple
-across swarms) and the whole group for ``GLOBAL_POOL`` (everyone shares the
-seed pool).  One completion event per domain -- at the min remaining/rate
-over its entries, invalidated by an epoch counter -- keeps the event queue
-small and each event's work proportional to the affected population only.
+A rate domain is a tuple of member swarms sharing one seed pool: one
+swarm for ``SUBTORRENT`` groups (rates never couple across swarms), every
+swarm of the group for ``GLOBAL_POOL`` (everyone shares the seed pool).  A
+:class:`~repro.sim.swarm.Swarm` and a pooled
+:class:`~repro.sim.swarm.SwarmGroup` both *are* rate domains with one
+driver API, so the system never asks which kind it holds.  One completion
+event per domain -- at the min remaining/rate over its entries,
+invalidated by an epoch counter -- keeps the event queue small and each
+event's work proportional to the affected population only.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.sim.engine import EventHandle, Simulator
 from repro.sim.entities import DownloadEntry, EntrySpan, UserRecord
 from repro.sim.metrics import MetricsCollector, PopulationSample
 from repro.sim.rng import RandomStreams
-from repro.sim.swarm import SeedPolicy, Swarm, SwarmGroup
+from repro.sim.swarm import SeedPolicy, Swarm, SwarmGroup, _RateDomain
 from repro.sim.trace import EventKind, EventTrace
 from repro.sim.tracker import AnnounceEvent, Tracker
 
@@ -43,11 +47,6 @@ __all__ = ["SimulationSystem"]
 PRIORITY_COMPLETION = 0
 PRIORITY_DEFAULT = 1
 PRIORITY_SAMPLER = 9
-
-#: rate-domain key: (group_id, file_id) for swarm-local domains,
-#: (group_id, None) for pool-coupled groups.
-DomainKey = tuple[int, int | None]
-
 
 class _DomainDirt:
     """What changed in one rate domain since its last flush.
@@ -156,12 +155,14 @@ class SimulationSystem:
         self.groups: dict[int, SwarmGroup] = {}
         self.file_to_group: dict[int, int] = {}
         self.behaviors: dict[int, "UserBehavior"] = {}
-        self._dirty: dict[DomainKey, _DomainDirt] = {}
+        #: file id -> the rate domain its rows live in
+        self._file_domains: dict[int, _RateDomain] = {}
+        self._dirty: dict[_RateDomain, _DomainDirt] = {}
         #: per-domain materialise callbacks installed as ``store._sync``
         #: while a window is open (cached: one closure per domain)
-        self._sync_callbacks: dict[DomainKey, Callable[[], None]] = {}
-        self._epochs: dict[DomainKey, int] = {}
-        self._completion_handles: dict[DomainKey, EventHandle] = {}
+        self._sync_callbacks: dict[_RateDomain, Callable[[], None]] = {}
+        self._epochs: dict[_RateDomain, int] = {}
+        self._completion_handles: dict[_RateDomain, EventHandle] = {}
         self._next_user_id = 0
         self._completion_slack = 1e-9 * file_size
         self.tracker: Tracker | None = None
@@ -195,16 +196,13 @@ class SimulationSystem:
         self.groups[group_id] = group
         for f in file_ids:
             self.file_to_group[f] = group_id
+        for domain in group._domains:
+            for swarm in domain._members:
+                self._file_domains[swarm.file_id] = domain
         return group
 
     def group_of_file(self, file_id: int) -> SwarmGroup:
         return self.groups[self.file_to_group[file_id]]
-
-    def _domain_key(self, file_id: int) -> DomainKey:
-        group = self.group_of_file(file_id)
-        if group.policy is SeedPolicy.GLOBAL_POOL:
-            return (group.group_id, None)
-        return (group.group_id, file_id)
 
     # ----- time & randomness -------------------------------------------------------
 
@@ -288,15 +286,10 @@ class SimulationSystem:
 
     # ----- mutations used by behaviours ------------------------------------------------
 
-    def _domain(self, key: DomainKey) -> "Swarm | SwarmGroup":
-        """The object driving a rate domain (swarm, or group when pooled)."""
-        group = self.groups[key[0]]
-        return group if key[1] is None else group.swarms[key[1]]
-
-    def _dirt(self, key: DomainKey) -> _DomainDirt:
-        dirt = self._dirty.get(key)
+    def _dirt(self, domain: _RateDomain) -> _DomainDirt:
+        dirt = self._dirty.get(domain)
         if dirt is None:
-            dirt = self._dirty[key] = _DomainDirt()
+            dirt = self._dirty[domain] = _DomainDirt()
         return dirt
 
     def _touch(
@@ -322,10 +315,9 @@ class SimulationSystem:
         window-start rate -- the dirt is raised to seeds-strength to force
         an all-row refresh on the exact path.
         """
-        key = self._domain_key(file_id)
-        domain = self._domain(key)
+        domain = self._file_domains[file_id]
         win = domain.win
-        dirt = self._dirt(key)
+        dirt = self._dirt(domain)
         if win.active:
             if entry is None:
                 domain.win_accumulate(self.now)
@@ -333,23 +325,13 @@ class SimulationSystem:
                 domain.win_materialize(self.now)
                 dirt.seeds = True
         if not win.active:
-            if key[1] is None:
-                self.groups[key[0]].advance_all(self.now)
-            else:
-                domain.advance(self.now)
+            domain.advance(self.now)
         if entry is not None:
             dirt.entries.append(entry)
         elif seeds:
             dirt.seeds = True
         else:
             dirt.full = True
-
-    def _mark_dirty_full(self, key: DomainKey) -> None:
-        """Mark an already-advanced domain for a full recompute."""
-        dirt = self._dirty.get(key)
-        if dirt is None:
-            dirt = self._dirty[key] = _DomainDirt()
-        dirt.full = True
 
     def start_download(
         self,
@@ -361,13 +343,10 @@ class SimulationSystem:
         tft_upload: float,
         download_cap: float,
     ) -> DownloadEntry:
-        key = self._domain_key(file_id)
-        domain = self._domain(key)
+        domain = self._file_domains[file_id]
         win = domain.win
         if win.active:
             domain.win_accumulate(self.now)
-        elif key[1] is None:
-            self.groups[key[0]].advance_all(self.now)
         else:
             domain.advance(self.now)
         entry = DownloadEntry(
@@ -384,7 +363,7 @@ class SimulationSystem:
         if win.active:
             # bias the fresh row so the window's uniform fold stays exact
             domain.win_bias_attached(entry)
-        self._dirt(key).joins.append(entry)
+        self._dirt(domain).joins.append(entry)
         self._tracker_join(file_id, user_id, is_seeder=False)
         if self.trace is not None:
             self.trace.record(self.now, EventKind.DOWNLOAD_STARTED, user_id, file_id)
@@ -444,24 +423,14 @@ class SimulationSystem:
         now = self.now
         reg = current_registry()
         while self._dirty:
-            key, dirt = self._dirty.popitem()
-            group = self.groups[key[0]]
-            pooled = key[1] is None
-            domain = group if pooled else group.swarms[key[1]]
+            domain, dirt = self._dirty.popitem()
             win = domain.win
             if win.active:
                 if not dirt.full and not dirt.entries:
                     old_bound = win.bound
-                    if domain.win_refresh(dirt.joins or None):
-                        if reg.enabled:
-                            reg.inc(
-                                "sim.kernel.pool.incremental"
-                                if pooled
-                                else "sim.kernel.mesh.incremental"
-                            )
-                            reg.inc("sim.window.refresh")
+                    if domain.win_refresh(dirt.joins):
                         if win.bound != old_bound:
-                            self._reschedule_completion(key, win.bound)
+                            self._reschedule_completion(domain, win.bound)
                         continue
                 # either the dirt breaks the factorised trajectory, or the
                 # window cannot hold the new state (possible clipping,
@@ -469,39 +438,24 @@ class SimulationSystem:
                 # exactly; all rows' rates are stale, so refresh them all
                 domain.win_materialize(now)
                 dirt.seeds = True
-            use_incremental = not dirt.full and not dirt.joins
-            rows = None if dirt.seeds or dirt.joins else dirt.entries
-            if pooled:
-                group.advance_all(now)
-                if not (
-                    use_incremental
-                    and group.recompute_rates_all_incremental(entries=rows)
-                ):
-                    group.recompute_rates_all()
-                t_next = group.next_completion_time()
-            else:
-                swarm = domain
-                swarm.advance(now)
-                if not (
-                    use_incremental
-                    and swarm.recompute_rates_incremental(self.eta, entries=rows)
-                ):
-                    swarm.recompute_rates(self.eta)
-                t_next = swarm.next_completion_time()
-            self._reschedule_completion(key, t_next)
-            self._start_window(key, domain, t_next)
+            domain.advance(now)
+            domain._recompute(
+                self.eta,
+                None if dirt.seeds or dirt.joins else dirt.entries,
+                incremental=not dirt.full and not dirt.joins,
+            )
+            t_next = domain.next_completion_time()
+            self._reschedule_completion(domain, t_next)
+            self._start_window(domain, t_next)
 
-    def _start_window(self, key: DomainKey, domain, bound: float) -> None:
+    def _start_window(self, domain: _RateDomain, bound: float) -> None:
         """Open a deferred window at just-recomputed rates (best effort)."""
-        sync = self._sync_callbacks.get(key)
+        sync = self._sync_callbacks.get(domain)
         if sync is None:
-            sync = self._sync_callbacks[key] = self._make_sync(key)
-        if key[1] is None:
-            domain.win_start(self.now, bound, sync)
-        else:
-            domain.win_start(self.eta, self.now, bound, sync)
+            sync = self._sync_callbacks[domain] = self._make_sync(domain)
+        domain.win_start(self.eta, self.now, bound, sync)
 
-    def _make_sync(self, key: DomainKey) -> Callable[[], None]:
+    def _make_sync(self, domain: _RateDomain) -> Callable[[], None]:
         """Materialise-on-read callback installed as the stores' ``_sync``.
 
         Fires when an entry's time-integrated state is read (or any field
@@ -509,27 +463,15 @@ class SimulationSystem:
         integration -- folds the window and brings rates current so the
         reader observes exactly what eager integration would have shown.
         """
-        domain = self._domain(key)
 
         def sync() -> None:
             domain.win_materialize(self.sim.now)
-            self._refresh_rates(key)
+            domain._recompute(self.eta)
             reg = current_registry()
             if reg.enabled:
                 reg.inc("sim.window.sync")
 
         return sync
-
-    def _refresh_rates(self, key: DomainKey) -> None:
-        """Recompute a domain's rates in place (no completion re-plan)."""
-        if key[1] is None:
-            group = self.groups[key[0]]
-            if not group.recompute_rates_all_incremental():
-                group.recompute_rates_all()
-        else:
-            swarm = self.groups[key[0]].swarms[key[1]]
-            if not swarm.recompute_rates_incremental(self.eta):
-                swarm.recompute_rates(self.eta)
 
     def materialize_all(self) -> None:
         """Fold every active deferred window and refresh its rates.
@@ -538,50 +480,35 @@ class SimulationSystem:
         reads, so external observers never see deferred state.
         """
         for group in self.groups.values():
-            if group.policy is SeedPolicy.GLOBAL_POOL:
-                if group.win.active:
-                    group.win_materialize(self.now)
-                    self._refresh_rates((group.group_id, None))
+            for domain in group._domains:
+                if domain.win.active:
+                    domain.win_materialize(self.now)
+                    domain._recompute(self.eta)
                 else:
                     # no window (win_start refused, or eager integration
                     # forced by a test hook): the domain integrates on
                     # flush, so it may lag behind ``now`` since the last
                     # event -- bring it current
-                    group.advance_all(self.now)
-            else:
-                for file_id, swarm in group.swarms.items():
-                    if swarm.win.active:
-                        swarm.win_materialize(self.now)
-                        self._refresh_rates((group.group_id, file_id))
-                    else:
-                        swarm.advance(self.now)
+                    domain.advance(self.now)
 
-    def _reschedule_completion(self, key: DomainKey, t_next: float) -> None:
-        handle = self._completion_handles.pop(key, None)
+    def _reschedule_completion(self, domain: _RateDomain, t_next: float) -> None:
+        handle = self._completion_handles.pop(domain, None)
         if handle is not None:
             self.sim.cancel(handle)
-        epoch = self._epochs.get(key, 0) + 1
-        self._epochs[key] = epoch
+        epoch = self._epochs.get(domain, 0) + 1
+        self._epochs[domain] = epoch
         if not math.isfinite(t_next):
             return
-        self._completion_handles[key] = self.sim.schedule_at(
+        self._completion_handles[domain] = self.sim.schedule_at(
             max(self.now, t_next),
-            lambda: self._on_completion(key, epoch),
+            lambda: self._on_completion(domain, epoch),
             priority=PRIORITY_COMPLETION,
         )
 
-    def _domain_swarms(self, key: DomainKey) -> list[Swarm]:
-        group = self.groups[key[0]]
-        if key[1] is None:
-            return list(group.swarms.values())
-        return [group.swarms[key[1]]]
-
-    def _on_completion(self, key: DomainKey, epoch: int) -> None:
-        if self._epochs.get(key) != epoch:
+    def _on_completion(self, domain: _RateDomain, epoch: int) -> None:
+        if self._epochs.get(domain) != epoch:
             return  # a mutation re-planned this domain since scheduling
-        self._completion_handles.pop(key, None)
-        group = self.groups[key[0]]
-        domain = self._domain(key)
+        self._completion_handles.pop(domain, None)
         if domain.win.active:
             # The event fired at the window's conservative bound.  Judge
             # it in window space: one vector pass answers "who is actually
@@ -592,22 +519,19 @@ class SimulationSystem:
             domain.win_accumulate(self.now)
             t_next, due, t_rest = domain.win_due(1e-6)
             if not due:
-                self._reschedule_completion(key, t_next)
+                self._reschedule_completion(domain, t_next)
                 reg = current_registry()
                 if reg.enabled:
                     reg.inc("sim.window.refire")
                 return
-            self._complete_entries_windowed(key, group, domain, due, t_rest)
+            self._complete_entries_windowed(domain, due, t_rest)
             return
-        if key[1] is None:
-            group.advance_all(self.now)
-        else:
-            group.swarms[key[1]].advance(self.now)
+        domain.advance(self.now)
         # One snapshot per swarm: both the due set and the fallback
         # candidate must be judged against the *same* (remaining, rate)
         # state, or a flush sneaking in between the two reads could mix
         # rates from two allocation epochs.
-        snapshots = [s.work_snapshot() for s in self._domain_swarms(key)]
+        snapshots = [s.work_snapshot() for s in domain._members]
         due = []
         for snapshot in snapshots:
             due.extend(snapshot.due(self._completion_slack))
@@ -621,20 +545,14 @@ class SimulationSystem:
                 return
             entry, eta = min(earliest, key=lambda pair: pair[1])
             if eta > 1e-6:
-                self._mark_dirty_full(key)
+                self._dirt(domain).full = True
                 self.flush()
                 return
             entry.remaining = 0.0
             due = [entry]
-        self._complete_entries(key, group, domain, due)
+        self._complete_entries(domain, due)
 
-    def _complete_entries(
-        self,
-        key: DomainKey,
-        group: SwarmGroup,
-        domain,
-        due: list[DownloadEntry],
-    ) -> None:
+    def _complete_entries(self, domain: _RateDomain, due: list[DownloadEntry]) -> None:
         """Retire due entries and re-plan the domain (rates + completion)."""
         for entry in due:
             if domain.win.active:
@@ -643,7 +561,9 @@ class SimulationSystem:
                 # behind its back (zero elapsed time, so the fold is free
                 # and the just-recomputed rates stay current)
                 domain.win_materialize(self.now)
-            group.remove_downloader(entry.user_id, entry.file_id)
+            self.group_of_file(entry.file_id).remove_downloader(
+                entry.user_id, entry.file_id
+            )
             self.metrics.record_span(
                 EntrySpan(
                     user_id=entry.user_id,
@@ -664,16 +584,11 @@ class SimulationSystem:
             if behavior is not None:
                 behavior.on_file_complete(entry)
             self._tracker_leave_if_absent(entry.file_id, entry.user_id)
-        self._mark_dirty_full(key)
+        self._dirt(domain).full = True
         self.flush()
 
     def _complete_entries_windowed(
-        self,
-        key: DomainKey,
-        group: SwarmGroup,
-        domain,
-        due: list[DownloadEntry],
-        t_rest: float,
+        self, domain: _RateDomain, due: list[DownloadEntry], t_rest: float
     ) -> None:
         """Retire due entries through the open window, keeping it open.
 
@@ -687,7 +602,7 @@ class SimulationSystem:
         callbacks may even materialise this domain mid-loop; remaining
         rows then detach through the ordinary exact path.
         """
-        records = group.records
+        records = self.metrics.records
         reg = current_registry()
         if reg.enabled:
             reg.inc("sim.window.complete", len(due))
@@ -696,7 +611,9 @@ class SimulationSystem:
             if domain.win.active:
                 domain.win_complete(entry, records)
             else:
-                group.remove_downloader(entry.user_id, entry.file_id)
+                self.group_of_file(entry.file_id).remove_downloader(
+                    entry.user_id, entry.file_id
+                )
             self.metrics.record_span(
                 EntrySpan(
                     user_id=entry.user_id,
@@ -722,11 +639,11 @@ class SimulationSystem:
         # above.  The fired event is spent, so always re-arm from the
         # post-refresh bound while the window survives (the materialise
         # fallback plans its own exact completion inside flush).
-        self._dirt(key).seeds = True
+        self._dirt(domain).seeds = True
         self.flush()
         win = domain.win
         if win.active:
-            self._reschedule_completion(key, win.bound)
+            self._reschedule_completion(domain, win.bound)
 
     # ----- sampling -------------------------------------------------------------------
 
@@ -788,13 +705,9 @@ class SimulationSystem:
         """
         now = self.now
         for group in self.groups.values():
-            if group.policy is SeedPolicy.GLOBAL_POOL:
-                if group.win.active:
-                    group.win_accumulate(now)
-            else:
-                for swarm in group.swarms.values():
-                    if swarm.win.active:
-                        swarm.win_accumulate(now)
+            for domain in group._domains:
+                if domain.win.active:
+                    domain.win_accumulate(now)
             group.sync_user_accounting(user_id)
 
     # ----- run ------------------------------------------------------------------------

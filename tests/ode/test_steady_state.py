@@ -7,12 +7,10 @@ import pytest
 
 from repro.ode import (
     SteadyStateOptions,
-    anderson_steady_state,
     find_steady_state,
     integrate_to_steady_state,
     newton_steady_state,
     residual_norm,
-    scipy_steady_state,
 )
 
 
@@ -45,8 +43,8 @@ class TestResidualNorm:
 
 @pytest.mark.parametrize(
     "solver",
-    [integrate_to_steady_state, newton_steady_state, anderson_steady_state, scipy_steady_state],
-    ids=["integrate", "newton", "anderson", "scipy"],
+    [integrate_to_steady_state, newton_steady_state],
+    ids=["integrate", "newton"],
 )
 class TestAllSolversOnLinearSystem:
     def test_finds_fixed_point(self, solver):
@@ -97,18 +95,6 @@ class TestNewton:
         result = newton_steady_state(lambda t, y: -1.0 - y, np.array([0.5]), opts)
         assert result.converged
         assert result.state[0] == pytest.approx(-1.0)
-
-
-class TestAnderson:
-    def test_faster_than_plain_iteration_on_stiffish_map(self):
-        stiff = lambda t, y: np.array([[-1.0, 0.0], [0.0, -0.01]]) @ (y - EXPECTED_LINEAR)
-        result = anderson_steady_state(stiff, np.zeros(2), dt=1.0, max_iter=500)
-        assert result.converged
-        np.testing.assert_allclose(result.state, EXPECTED_LINEAR, rtol=1e-5, atol=1e-6)
-
-    def test_iteration_budget_respected(self):
-        result = anderson_steady_state(linear_rhs, np.zeros(2), max_iter=1)
-        assert result.n_iterations <= 1
 
 
 class TestFindSteadyState:

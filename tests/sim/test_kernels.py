@@ -269,7 +269,7 @@ class TestProgressAndCompletionEquivalence:
         ref = _build_group(downloaders, seeds)
         vec.swarms[0].recompute_rates(ETA)
         ref.swarms[0].recompute_rates(ETA)
-        vec.swarms[0].advance(dt, None)
+        vec.swarms[0].advance(dt)
         advance_scalar(ref.swarms[0], dt, None)
         np.testing.assert_allclose(
             vec.swarms[0].store.column("remaining"),

@@ -153,7 +153,7 @@ class TestAdvance:
         e = entry(tft=0.02, remaining=1.0)
         g.add_downloader(e)
         g.swarms[0].recompute_rates(0.5)  # rate = 0.01
-        g.swarms[0].advance(30.0, None)
+        g.swarms[0].advance(30.0)
         assert e.remaining == pytest.approx(0.7)
         assert g.swarms[0].last_update == 30.0
 
@@ -162,14 +162,14 @@ class TestAdvance:
         e = entry(tft=0.02, remaining=0.005)
         g.add_downloader(e)
         g.swarms[0].recompute_rates(0.5)
-        g.swarms[0].advance(100.0, None)
+        g.swarms[0].advance(100.0)
         assert e.remaining == 0.0
 
     def test_backwards_advance_rejected(self):
         g = SwarmGroup(0, (0,), eta=0.5)
-        g.swarms[0].advance(5.0, None)
+        g.swarms[0].advance(5.0)
         with pytest.raises(ValueError, match="backwards"):
-            g.swarms[0].advance(1.0, None)
+            g.swarms[0].advance(1.0)
 
     def test_give_take_accounting(self):
         records = {
@@ -181,7 +181,7 @@ class TestAdvance:
         g.add_downloader(e)
         g.add_seed(1, 0, 0.01, 2, virtual=True)  # user 1 virtual-seeds
         g.swarms[0].recompute_rates(0.5)
-        g.swarms[0].advance(10.0, records)
+        g.swarms[0].advance(10.0)
         g.sync_accounting()
         assert records[1].uploaded_virtual == pytest.approx(0.1)
         assert records[2].received_virtual == pytest.approx(0.1)
@@ -191,7 +191,7 @@ class TestAdvance:
         g = SwarmGroup(0, (0,), eta=0.5, records=records)
         g.add_seed(1, 0, 0.01, 2, virtual=True)
         g.swarms[0].recompute_rates(0.5)
-        g.swarms[0].advance(10.0, records)
+        g.swarms[0].advance(10.0)
         g.sync_accounting()
         assert records[1].uploaded_virtual == 0.0
 
@@ -206,7 +206,7 @@ class TestAdvance:
         g.add_seed(1, 0, 0.01, 2, virtual=True)  # swarm 0: no downloaders
         g.add_downloader(entry(user=2, file=1, tft=0.0, cap=0.2))
         g.recompute_rates_all()
-        g.advance_all(10.0)
+        g.advance(10.0)
         g.sync_accounting()
         assert records[1].uploaded_virtual == pytest.approx(0.1)
 

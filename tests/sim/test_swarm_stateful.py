@@ -72,7 +72,7 @@ class SwarmGroupMachine(RuleBasedStateMachine):
     def advance(self, dt):
         self.clock += dt
         for swarm in self.group.swarms.values():
-            swarm.advance(self.clock, None)
+            swarm.advance(self.clock)
 
     @rule()
     def recompute(self):
