@@ -6,9 +6,9 @@ Two representations share one attribute vocabulary:
   by the scalar oracle engine (:mod:`repro.chunks.reference`).
 * :class:`ChunkPeerView` -- a live *view* of one row of an array-backed
   store (:class:`repro.chunks.store.ChunkStore` or
-  :class:`repro.chunks.sparse_store.SparseChunkStore`; both expose the
-  same row arrays plus the ``partials_dict`` / ``received_dict`` /
-  ``active_chunk_set`` reconstruction protocol).  Attribute access
+  :class:`repro.chunks.sparse_store.SparseChunkStore`; both inherit the
+  same per-peer row arrays and add the ``partials_dict`` /
+  ``received_dict`` / ``active_chunk_set`` reconstruction protocol).  Attribute access
   resolves the peer's current row on every read, so views stay valid
   across store compactions; when the peer leaves the swarm the view is
   detached onto a frozen :class:`ChunkPeer` snapshot and keeps answering
@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chunks.sparse_store import SparseChunkStore
     from repro.chunks.store import ChunkStore
 
 __all__ = ["ChunkPeer", "ChunkPeerView"]
@@ -99,7 +100,9 @@ class ChunkPeer:
 
 
 class ChunkPeerView:
-    """Live row view into a :class:`~repro.chunks.store.ChunkStore`.
+    """Live row view into an array chunk store
+    (:class:`~repro.chunks.store.ChunkStore` or
+    :class:`~repro.chunks.sparse_store.SparseChunkStore`).
 
     Exposes the :class:`ChunkPeer` attribute vocabulary (``bitmap``,
     ``partials``, ``finished_at``, ...) backed by the store arrays.  The
@@ -111,7 +114,7 @@ class ChunkPeerView:
 
     __slots__ = ("peer_id", "_store", "_snapshot")
 
-    def __init__(self, store: "ChunkStore", peer_id: int):
+    def __init__(self, store: "ChunkStore | SparseChunkStore", peer_id: int):
         self.peer_id = peer_id
         self._store = store
         self._snapshot: ChunkPeer | None = None

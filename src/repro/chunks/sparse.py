@@ -1,24 +1,27 @@
 """Bounded-degree chunk-level swarm engine (sparse neighborhoods).
 
-Same round model as the dense :class:`repro.chunks.swarm.ChunkSwarm` --
-interest, choking, transfer, completion -- but peers only see a
-tracker-sampled neighborhood instead of the whole swarm, and the state
-lives in a :class:`repro.chunks.sparse_store.SparseChunkStore` so memory
-is O(peers * degree) rather than O(peers^2):
+Runs the same round as the dense :class:`repro.chunks.swarm.ChunkSwarm`
+-- both inherit it from :class:`repro.chunks.swarm._RoundEngine`, which
+owns membership, departures, choking, the round loop and ``run`` -- but
+peers only see a tracker-sampled neighborhood instead of the whole swarm,
+and the state lives in a :class:`repro.chunks.sparse_store.SparseChunkStore`
+so memory is O(peers * degree) rather than O(peers^2).  What this engine
+adds:
 
 * **Membership** goes through a real :class:`repro.sim.tracker.Tracker`:
   every join/completion/departure announces (bookkeeping-only, the O(1)
   ``want_peers=False`` path), and a joining peer connects to
   ``neighbor_degree`` uniformly sampled existing peers, each of which may
   refuse when already at twice that degree (mainline's numwant/connection
-  cap in miniature).  ``neighbor_degree=None`` connects everyone to
-  everyone -- the full-mixing special case.
+  cap in miniature).  A peer whose neighborhood every departure path
+  (churn, completion, emigration) has emptied re-wires.
+  ``neighbor_degree=None`` connects everyone to everyone -- the
+  full-mixing special case.
 * **Interest** runs per-neighborhood block over the bit-packed ownership
   shadow: gather the neighbours' packed rows, AND with the uploader's
-  complement, reduce -- O(edges * words) instead of a P x P matmul.
-* **Choking** ranks each uploader's interested neighbours on the
-  edge-aligned received-bytes columns with the exact argsort/cursor/RNG
-  call sites of the dense engine.
+  complement, reduce -- O(edges * words) instead of a P x P matmul.  Its
+  columns are edge positions, so choking ranks on the edge-aligned
+  received-bytes columns.
 * **Transfer** keeps the oracle's per-link dict/set bookkeeping
   (partials are a per-peer dict, O(slots) entries), so the float
   accumulation order is the scalar engine's by construction.
@@ -41,7 +44,6 @@ For sharded multi-process runs over sub-swarms see
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +51,10 @@ import numpy as np
 from repro.chunks.config import ChunkSwarmConfig
 from repro.chunks.peer import ChunkPeerView
 from repro.chunks.sparse_store import SparseChunkStore
-from repro.obs import current_registry
+from repro.chunks.swarm import _RoundEngine
 from repro.sim.tracker import AnnounceEvent, Tracker
 
 __all__ = ["SparseChunkSwarm", "PeerExport"]
-
-_EMPTY_ROWS = np.empty(0, dtype=np.intp)
 
 #: stream tags for the auxiliary RNGs (SeedSequence entropy suffixes);
 #: the main ``self.rng`` stays seeded exactly like the other engines so
@@ -101,26 +101,11 @@ class PeerExport:
     partials: dict[int, list[float]] = field(default_factory=dict)
 
 
-class SparseChunkSwarm:
+class SparseChunkSwarm(_RoundEngine):
     """A single-file chunk-level swarm over sparse neighborhoods."""
 
     def __init__(self, config: ChunkSwarmConfig, *, seed: int = 0, file_id: int = 0):
-        self.config = config
-        self.rng = np.random.default_rng(seed)
-        self.store = SparseChunkStore(config.n_chunks)
-        self.peers: dict[int, ChunkPeerView] = {}
-        self.now = 0.0
-        self.rounds_run = 0
-        self._next_id = 0
-        self.downloader_useful = 0.0
-        self.downloader_capacity = 0.0
-        self.seed_useful = 0.0
-        self.seed_capacity = 0.0
-        self.wasted_bytes = 0.0
-        #: per-round records (t_end, dl_useful, dl_capacity, seed_useful,
-        #: seed_capacity, n_downloaders, n_seeds) for time-varying analyses
-        self.history: list[tuple[float, float, float, float, float, int, int]] = []
-        self._round_picks = 0
+        super().__init__(config, SparseChunkStore(config.n_chunks), seed)
         self.degree = config.neighbor_degree
         #: connection cap: a peer refuses new neighbours beyond 2*degree
         self.max_degree = None if self.degree is None else 2 * self.degree
@@ -132,6 +117,8 @@ class SparseChunkSwarm:
             np.random.default_rng(np.random.SeedSequence((seed, _TRACKER_STREAM))),
             numwant=self.degree if self.degree is not None else 50,
         )
+        #: other shards' per-chunk counts for the round in progress
+        self._external: np.ndarray | None = None
 
     # ----- membership ---------------------------------------------------------
 
@@ -181,70 +168,70 @@ class SparseChunkSwarm:
             if not st.has_edge(row, int(other)):
                 st.insert_edge(row, int(other))
 
-    def add_peer(self, *, is_seed: bool = False) -> ChunkPeerView:
-        pid = self._next_id
-        self._next_id += 1
-        row = self.store.add(pid, is_seed=is_seed, joined_at=self.now)
+    def _joined(self, peer_id: int, row: int, is_seed: bool) -> None:
         self.tracker.announce(
-            pid, self.file_id, AnnounceEvent.STARTED,
+            peer_id, self.file_id, AnnounceEvent.STARTED,
             is_seeder=is_seed, want_peers=False,
         )
         self._wire_row(row)
-        view = ChunkPeerView(self.store, pid)
-        self.peers[pid] = view
-        return view
 
-    def add_peers(self, n: int, *, is_seed: bool = False) -> list[ChunkPeerView]:
-        return [self.add_peer(is_seed=is_seed) for _ in range(n)]
-
-    def remove_peer(self, peer_id: int) -> ChunkPeerView:
-        """Remove a peer (churn); its unfinished partials become waste."""
+    def _completed(self, rows: list[int]) -> None:
         st = self.store
-        try:
-            row = st.row_of[peer_id]
-        except KeyError:
-            raise KeyError(f"no peer {peer_id} in the swarm") from None
-        for entry in st.partials[row].values():
-            self.wasted_bytes += entry[0]
-        st.clear_partials(row)
-        view = self.peers.pop(peer_id)
-        view.detach()
-        st.compact([row])
-        self.tracker.announce(
-            peer_id, self.file_id, AnnounceEvent.STOPPED, want_peers=False
-        )
-        return view
+        for r in rows:
+            self.tracker.announce(
+                int(st.peer_id[r]), self.file_id, AnnounceEvent.COMPLETED,
+                want_peers=False,
+            )
 
-    @property
-    def downloaders(self) -> list[ChunkPeerView]:
+    def _departed(self, peer_ids: list[int]) -> None:
+        for pid in peer_ids:
+            self.tracker.announce(
+                pid, self.file_id, AnnounceEvent.STOPPED, want_peers=False
+            )
         st = self.store
-        done = st.n_owned[: st.n] == st.n_chunks
-        return [
-            self.peers[int(pid)]
-            for pid, is_done in zip(st.peer_id[: st.n], done)
-            if not is_done
-        ]
+        if self.degree is not None and st.n > 1:
+            # departures may strand a bounded neighborhood entirely;
+            # stranded peers re-announce and re-wire (full-degree mode
+            # cannot strand anyone, so this never runs there)
+            for row in np.nonzero(st.deg[: st.n] == 0)[0]:
+                self._rewire_row(int(row))
 
-    @property
-    def seeds(self) -> list[ChunkPeerView]:
+    # ----- kernels ------------------------------------------------------------
+
+    def _interest(self, n: int) -> np.ndarray:
+        """``interest[u, j]``: neighbour ``nbr[u, j]`` is interested in ``u``
+        (``u`` owns a word-bit it lacks), per-neighborhood block over the
+        packed bitmaps; padding columns are False."""
         st = self.store
-        done = st.n_owned[: st.n] == st.n_chunks
-        return [
-            self.peers[int(pid)]
-            for pid, is_done in zip(st.peer_id[: st.n], done)
-            if is_done
-        ]
+        width = st.nbr.shape[1]
+        packed = st.own_packed
+        nbr = st.nbr
+        # ~32 MB of gathered words per block
+        block = max(1, (4 << 20) // max(1, width * st.n_words))
+        interest = np.empty((n, width), dtype=bool)
+        for b0 in range(0, n, block):
+            b1 = min(n, b0 + block)
+            nb = nbr[b0:b1]
+            valid = nb >= 0
+            g = packed[np.where(valid, nb, 0)]
+            lacks = (packed[b0:b1, None, :] & ~g).any(axis=2)
+            np.logical_and(lacks, valid, out=interest[b0:b1])
+        return interest
 
-    @property
-    def all_done(self) -> bool:
-        st = self.store
-        return bool((st.n_owned[: st.n] == st.n_chunks).all())
+    def _neighbor_rows(self, u: int, cols: np.ndarray) -> np.ndarray:
+        """Peer rows of ``u``'s interest columns (edge positions)."""
+        return self.store.nbr[u, cols]
 
-    # ----- chunk availability -------------------------------------------------
+    def _received_last_round(self, u: int, cols: np.ndarray) -> np.ndarray:
+        """Bytes ``u`` received last round over those edges."""
+        return self.store.r_prev_e[u, cols]
 
-    def availability(self) -> np.ndarray:
-        """How many local peers own each chunk (drives rarest-first)."""
-        return self.store.own[: self.store.n].sum(axis=0, dtype=int)
+    def _pick_state(self, n: int) -> np.ndarray:
+        """Per-chunk availability, local counts plus the other shards'."""
+        availability = self.availability()
+        if self._external is not None:
+            availability = availability + np.asarray(self._external, dtype=int)
+        return availability
 
     def _pick_chunk(self, r: int, u: int, availability: np.ndarray) -> int | None:
         """Local rarest first among needed, offered, not-in-flight chunks.
@@ -295,69 +282,6 @@ class SparseChunkSwarm:
         st.offered[u, chunk] += 1
         return chunk
 
-    # ----- choking ------------------------------------------------------------
-
-    def _select_rows(
-        self, u: int, ipos: np.ndarray, irows: np.ndarray, is_seed_u: bool
-    ) -> np.ndarray:
-        """Rows ``u`` serves this round.
-
-        ``ipos`` are the interested neighbours' positions in ``u``'s edge
-        list and ``irows`` the corresponding store rows, both ascending
-        (edge lists are sorted), i.e. in the oracle's insertion order.
-        """
-        cfg = self.config
-        st = self.store
-        rng = self.rng
-        if is_seed_u:
-            k = min(cfg.total_slots, irows.size)
-            policy = cfg.seed_unchoke
-            if policy == "round_robin":
-                start = int(st.rotation_cursor[u]) % irows.size
-                st.rotation_cursor[u] = start + k
-                return irows[(start + np.arange(k)) % irows.size]
-            if policy == "fastest":
-                order = np.argsort(-st.recv_total_prev[irows], kind="stable")
-                return irows[order[:k]]
-            return rng.choice(irows, size=k, replace=False)
-        # Tit-for-tat: rank by bytes received from them last round.
-        order = np.argsort(-st.r_prev_e[u, ipos], kind="stable")
-        top = order[: cfg.n_upload_slots]
-        regular = irows[top]
-        if cfg.optimistic_slots > 0 and irows.size > regular.size:
-            rest_mask = np.ones(irows.size, dtype=bool)
-            rest_mask[top] = False
-            rest = irows[rest_mask]
-            k = min(cfg.optimistic_slots, rest.size)
-            optimistic = rng.choice(rest, size=k, replace=False)
-            return np.concatenate((regular, optimistic))
-        return regular
-
-    def _interested_positions(self, u: int) -> np.ndarray:
-        """Edge positions of ``u``'s neighbours that want something from
-        ``u`` (one-row version of the blocked round kernel)."""
-        st = self.store
-        d = int(st.deg[u])
-        if d == 0:
-            return _EMPTY_ROWS
-        nbrs = st.nbr[u, :d]
-        lacks = (st.own_packed[u][None, :] & ~st.own_packed[nbrs]).any(axis=1)
-        return np.nonzero(lacks)[0]
-
-    def _select_unchoked(self, uploader: ChunkPeerView) -> list[int]:
-        """Whom ``uploader`` serves this round (peer ids)."""
-        st = self.store
-        u = st.row_of[uploader.peer_id]
-        ipos = self._interested_positions(u)
-        if ipos.size == 0:
-            return []
-        irows = st.nbr[u, ipos]
-        is_seed_u = int(st.n_owned[u]) == st.n_chunks
-        return [
-            int(pid)
-            for pid in st.peer_id[self._select_rows(u, ipos, irows, is_seed_u)]
-        ]
-
     # ----- the round ----------------------------------------------------------
 
     def run_round(self, external_availability: np.ndarray | None = None) -> None:
@@ -368,149 +292,8 @@ class SparseChunkSwarm:
         sharded backend injects the other sub-swarms' piece counts here so
         rarity stays a swarm-global signal.
         """
-        cfg = self.config
-        st = self.store
-        reg = current_registry()
-        obs = reg.enabled
-        n = st.n
-        C = cfg.n_chunks
-
-        t0 = time.perf_counter() if obs else 0.0
-        availability = st.own[:n].sum(axis=0, dtype=int)
-        if external_availability is not None:
-            availability = availability + np.asarray(
-                external_availability, dtype=int
-            )
-
-        # Interest, per-neighborhood block over the packed bitmaps:
-        # neighbour j of u is interested iff u owns a word-bit j lacks.
-        width = st.nbr.shape[1]
-        packed = st.own_packed
-        nbr = st.nbr
-        W = st.n_words
-        # ~32 MB of gathered words per block
-        block = max(1, (4 << 20) // max(1, width * W))
-        interested_per: list[np.ndarray] = []
-        for b0 in range(0, n, block):
-            b1 = min(n, b0 + block)
-            nb = nbr[b0:b1]
-            valid = nb >= 0
-            g = packed[np.where(valid, nb, 0)]
-            lacks = (packed[b0:b1, None, :] & ~g).any(axis=2)
-            lacks &= valid
-            for u in range(b0, b1):
-                interested_per.append(np.nonzero(lacks[u - b0])[0])
-        if obs:
-            t1 = time.perf_counter()
-            reg.observe("chunks.kernel.interest", t1 - t0)
-
-        n_owned = st.n_owned
-        was_dl = n_owned[:n] < C
-        receivers_per: list[np.ndarray] = []
-        for u in range(n):
-            ipos = interested_per[u]
-            if ipos.size == 0:
-                receivers_per.append(_EMPTY_ROWS)
-            else:
-                irows = nbr[u, ipos]
-                receivers_per.append(
-                    self._select_rows(u, ipos, irows, not was_dl[u])
-                )
-        if obs:
-            t2 = time.perf_counter()
-            reg.observe("chunks.kernel.choke", t2 - t1)
-
-        round_start = (
-            self.downloader_useful,
-            self.downloader_capacity,
-            self.seed_useful,
-            self.seed_capacity,
-        )
-        n_downloaders = int(was_dl.sum())
-        n_seeds = n - n_downloaders
-        budget = cfg.upload_rate * cfg.round_length
-        completions: list[int] = []
-        fin = st.finished_at
-        r_cur_e = st.r_cur_e
-        recv_total_cur = st.recv_total_cur
-        n_links = 0
-        self._round_picks = 0
-        for u in range(n):
-            u_is_dl = bool(was_dl[u])
-            if u_is_dl:
-                self.downloader_capacity += budget
-            else:
-                self.seed_capacity += budget
-            receivers = receivers_per[u]
-            if receivers.size == 0:
-                continue
-            n_links += receivers.size
-            per_link = budget / receivers.size
-            for r in receivers:
-                r = int(r)
-                sent = self._transfer(
-                    u, r, per_link, availability, uploader_is_downloader=u_is_dl
-                )
-                if sent > 0:
-                    # Tit-for-tat ranks by transfer effort, duplicates and all.
-                    r_cur_e[r, st.edge_index(r, u)] += sent
-                    recv_total_cur[r] += sent
-                if n_owned[r] == C and math.isnan(fin[r]):
-                    completions.append(r)
-        self.now += cfg.round_length
-        self.rounds_run += 1
-        self.history.append(
-            (
-                self.now,
-                self.downloader_useful - round_start[0],
-                self.downloader_capacity - round_start[1],
-                self.seed_useful - round_start[2],
-                self.seed_capacity - round_start[3],
-                n_downloaders,
-                n_seeds,
-            )
-        )
-        n_finished = 0
-        drop_rows: list[int] = []
-        drop_pids: list[int] = []
-        for r in completions:
-            if not math.isnan(fin[r]):
-                continue  # unchoked by several uploaders: one entry per link
-            fin[r] = self.now
-            n_finished += 1
-            pid = int(st.peer_id[r])
-            self.tracker.announce(
-                pid, self.file_id, AnnounceEvent.COMPLETED, want_peers=False
-            )
-            # A finished peer has no partials left by construction, but any
-            # stragglers (numerical slack) are written off as waste.
-            for entry in st.partials[r].values():
-                self.wasted_bytes += entry[0]
-            st.clear_partials(r)
-            if not cfg.seed_stays:
-                self.peers.pop(pid).detach()
-                drop_rows.append(r)
-                drop_pids.append(pid)
-        if drop_rows:
-            st.compact(drop_rows)
-            for pid in drop_pids:
-                self.tracker.announce(
-                    pid, self.file_id, AnnounceEvent.STOPPED, want_peers=False
-                )
-            if self.degree is not None and st.n > 1:
-                # departures may strand a bounded neighborhood entirely;
-                # stranded peers re-announce and re-wire (full-degree mode
-                # cannot strand anyone, so this never runs there)
-                for row in np.nonzero(st.deg[: st.n] == 0)[0]:
-                    self._rewire_row(int(row))
-        st.rollover()
-        if obs:
-            t3 = time.perf_counter()
-            reg.observe("chunks.kernel.transfer", t3 - t2)
-            reg.inc("chunks.rounds")
-            reg.inc("chunks.kernel.links", n_links)
-            reg.inc("chunks.kernel.picks", self._round_picks)
-            reg.inc("chunks.peers_finished", n_finished)
+        self._external = external_availability
+        super().run_round()
 
     def _transfer(
         self,
@@ -558,22 +341,10 @@ class SparseChunkSwarm:
                 partials.pop(chunk)
                 active.discard(chunk)
         self._round_picks += picks
+        if sent > 0:
+            # Tit-for-tat ranks by transfer effort, duplicates and all.
+            st.r_cur_e[r, st.edge_index(r, u)] += sent
         return sent
-
-    def run(self, *, max_rounds: int = 100_000) -> int:
-        """Run rounds until every downloader finishes; return rounds used."""
-        start = self.rounds_run
-        while not self.all_done:
-            if self.rounds_run - start >= max_rounds:
-                n_left = int(
-                    (self.store.n_owned[: self.store.n] < self.config.n_chunks).sum()
-                )
-                raise RuntimeError(
-                    f"swarm did not finish within {max_rounds} rounds "
-                    f"({n_left} downloaders left)"
-                )
-            self.run_round()
-        return self.rounds_run - start
 
     # ----- shard migration ----------------------------------------------------
 
@@ -592,32 +363,22 @@ class SparseChunkSwarm:
         them locally.  Unlike churn, partials travel with the peer instead
         of becoming waste."""
         st = self.store
-        exports: list[PeerExport] = []
-        rows: list[int] = []
-        for pid in peer_ids:
-            try:
-                row = st.row_of[pid]
-            except KeyError:
-                raise KeyError(f"no peer {pid} in the swarm") from None
-            fin = float(st.finished_at[row])
-            exports.append(
-                PeerExport(
-                    bitmap=st.own[row].copy(),
-                    initially_seed=bool(st.initially_seed[row]),
-                    joined_at=float(st.joined_at[row]),
-                    finished_at=None if math.isnan(fin) else fin,
-                    uploaded_useful=float(st.uploaded_useful[row]),
-                    partials={c: list(e) for c, e in st.partials[row].items()},
-                )
+        rows = [self._row(pid) for pid in peer_ids]
+        exports = [
+            PeerExport(
+                bitmap=st.own[row].copy(),
+                initially_seed=bool(st.initially_seed[row]),
+                joined_at=float(st.joined_at[row]),
+                finished_at=(
+                    None if math.isnan(st.finished_at[row])
+                    else float(st.finished_at[row])
+                ),
+                uploaded_useful=float(st.uploaded_useful[row]),
+                partials=st.partials_dict(row),
             )
-            rows.append(row)
-            st.clear_partials(row)
-            self.peers.pop(pid).detach()
-        st.compact(rows)
-        for pid in peer_ids:
-            self.tracker.announce(
-                pid, self.file_id, AnnounceEvent.STOPPED, want_peers=False
-            )
+            for row in rows
+        ]
+        self._depart(rows, write_off=False)
         return exports
 
     def admit_peer(self, export: PeerExport) -> ChunkPeerView:
@@ -640,11 +401,7 @@ class SparseChunkSwarm:
         st.partials[row].update(
             (c, list(e)) for c, e in export.partials.items()
         )
-        self.tracker.announce(
-            pid, self.file_id, AnnounceEvent.STARTED,
-            is_seeder=complete, want_peers=False,
-        )
-        self._wire_row(row)
+        self._joined(pid, row, complete)
         view = ChunkPeerView(st, pid)
         self.peers[pid] = view
         return view

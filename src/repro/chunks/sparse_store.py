@@ -2,8 +2,11 @@
 
 The dense :class:`repro.chunks.store.ChunkStore` keeps P x P received
 matrices and P x C partial matrices, which caps it near a few thousand
-peers.  :class:`SparseChunkStore` replaces both with neighborhood-local
-state so memory is O(P * d) in the sampled degree ``d``:
+peers.  :class:`SparseChunkStore` shares the dense store's per-peer rows
+(:class:`repro.chunks.store._PeerRows`: the per-peer vectors, ``own``,
+add/resize/compaction and the shrink policy) and replaces both matrices
+with neighborhood-local state, so memory is O(P * d) in the sampled
+degree ``d``:
 
 * ``nbr`` / ``deg`` -- padded adjacency: row ``r`` of the P x width int32
   matrix lists the store rows ``r`` is connected to, **sorted ascending**,
@@ -16,10 +19,10 @@ state so memory is O(P * d) in the sampled degree ``d``:
   ``r_cur_e[r, j]`` accumulates bytes received this round from neighbour
   ``nbr[r, j]``.  These are the sparse replacement for the dense P x P
   ``r_prev`` / ``r_cur`` tit-for-tat matrices.
-* ``own`` plus ``own_packed`` -- the P x C boolean ownership matrix and a
-  bit-packed uint64 shadow (``ceil(C/64)`` words per peer), maintained
-  incrementally.  The packed form makes the per-neighborhood interest
-  kernel a few-word AND instead of a C-wide row scan.
+* ``own_packed`` -- a bit-packed uint64 shadow of the shared ``own``
+  matrix (``ceil(C/64)`` words per peer), maintained incrementally.  The
+  packed form makes the per-neighborhood interest kernel a few-word AND
+  instead of a C-wide row scan.
 * ``partials`` / ``active`` -- per-peer Python dict/set state exactly as
   the scalar oracle keeps it (``chunk -> [done, credit_dl, credit_seed]``
   in creation order, and the in-flight chunk set).  Partials are O(slots)
@@ -37,31 +40,30 @@ the allocated rows are live.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from repro.chunks.store import _PeerRows
 
 __all__ = ["SparseChunkStore"]
 
-_NAN = float("nan")
 
-
-class SparseChunkStore:
+class SparseChunkStore(_PeerRows):
     """Array-backed bounded-degree state for one chunk-level swarm."""
 
+    _ROWS = _PeerRows._ROWS + (
+        ("own_packed", 0),
+        ("offered", 0),
+        ("nbr", -1),
+        ("deg", 0),
+        ("r_prev_e", 0.0),
+        ("r_cur_e", 0.0),
+    )
+
     def __init__(self, n_chunks: int, *, capacity: int = 16, width: int = 8):
-        if n_chunks < 1:
-            raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__(n_chunks, capacity)
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        self.n_chunks = int(n_chunks)
-        self.n = 0
-        self._cap = int(capacity)
         self._width = int(width)
-        #: peer id -> row index (rows stay in insertion == id order)
-        self.row_of: dict[int, int] = {}
         C = self.n_chunks
         W = (C + 63) // 64
         self.n_words = W
@@ -74,7 +76,6 @@ class SparseChunkStore:
         self._full_words = full
         c = self._cap
         w = self._width
-        self.own = np.zeros((c, C), dtype=bool)
         self.own_packed = np.zeros((c, W), dtype=np.uint64)
         self.offered = np.zeros((c, C), dtype=np.int32)
         #: chunk -> [done, credit_downloader, credit_seed], creation order
@@ -85,85 +86,17 @@ class SparseChunkStore:
         self.deg = np.zeros(c, dtype=np.int32)
         self.r_prev_e = np.zeros((c, w), dtype=np.float64)
         self.r_cur_e = np.zeros((c, w), dtype=np.float64)
-        self.recv_total_prev = np.zeros(c, dtype=np.float64)
-        self.recv_total_cur = np.zeros(c, dtype=np.float64)
-        self.peer_id = np.zeros(c, dtype=np.int64)
-        self.joined_at = np.zeros(c, dtype=np.float64)
-        self.finished_at = np.full(c, _NAN, dtype=np.float64)
-        self.initially_seed = np.zeros(c, dtype=bool)
-        self.uploaded_useful = np.zeros(c, dtype=np.float64)
-        self.rotation_cursor = np.zeros(c, dtype=np.int64)
-        self.n_owned = np.zeros(c, dtype=np.int64)
 
     # ----- membership ---------------------------------------------------------
 
     def add(self, peer_id: int, *, is_seed: bool, joined_at: float) -> int:
-        """Append a peer row (zeroed, no edges) and return its index.
-
-        ``peer_id`` must exceed every id ever added -- rows double as the
-        insertion order the round kernels rely on.
-        """
-        if self.n and peer_id <= int(self.peer_id[self.n - 1]):
-            raise ValueError(
-                f"peer ids must be strictly increasing (got {peer_id} after "
-                f"{int(self.peer_id[self.n - 1])})"
-            )
-        if self.n == self._cap:
-            self._resize(max(2 * self._cap, 16))
-        row = self.n
-        self.n += 1
-        C = self.n_chunks
-        self.own[row] = is_seed
-        self.own_packed[row] = self._full_words if is_seed else 0
-        self.offered[row] = 0
+        """Append a peer row (zeroed, no edges) and return its index."""
+        row = super().add(peer_id, is_seed=is_seed, joined_at=joined_at)
+        if is_seed:
+            self.own_packed[row] = self._full_words
         self.partials.append({})
         self.active.append(set())
-        self.nbr[row] = -1
-        self.deg[row] = 0
-        self.r_prev_e[row] = 0.0
-        self.r_cur_e[row] = 0.0
-        self.recv_total_prev[row] = 0.0
-        self.recv_total_cur[row] = 0.0
-        self.peer_id[row] = peer_id
-        self.joined_at[row] = joined_at
-        self.finished_at[row] = joined_at if is_seed else _NAN
-        self.initially_seed[row] = is_seed
-        self.uploaded_useful[row] = 0.0
-        self.rotation_cursor[row] = 0
-        self.n_owned[row] = C if is_seed else 0
-        self.row_of[peer_id] = row
         return row
-
-    def _resize(self, new_cap: int) -> None:
-        """Reallocate every row-indexed array to ``new_cap`` rows."""
-        n = self.n
-        assert new_cap >= n
-        w = self._width
-
-        def resized(old: np.ndarray, cols: int | None, fill) -> np.ndarray:
-            shape = new_cap if cols is None else (new_cap, cols)
-            arr = np.full(shape, fill, dtype=old.dtype)
-            arr[:n] = old[:n]
-            return arr
-
-        C = self.n_chunks
-        self.own = resized(self.own, C, False)
-        self.own_packed = resized(self.own_packed, self.n_words, 0)
-        self.offered = resized(self.offered, C, 0)
-        self.nbr = resized(self.nbr, w, -1)
-        self.deg = resized(self.deg, None, 0)
-        self.r_prev_e = resized(self.r_prev_e, w, 0.0)
-        self.r_cur_e = resized(self.r_cur_e, w, 0.0)
-        self.recv_total_prev = resized(self.recv_total_prev, None, 0.0)
-        self.recv_total_cur = resized(self.recv_total_cur, None, 0.0)
-        self.peer_id = resized(self.peer_id, None, 0)
-        self.joined_at = resized(self.joined_at, None, 0.0)
-        self.finished_at = resized(self.finished_at, None, _NAN)
-        self.initially_seed = resized(self.initially_seed, None, False)
-        self.uploaded_useful = resized(self.uploaded_useful, None, 0.0)
-        self.rotation_cursor = resized(self.rotation_cursor, None, 0)
-        self.n_owned = resized(self.n_owned, None, 0)
-        self._cap = new_cap
 
     def _grow_width(self, needed: int) -> None:
         new_w = self._width
@@ -251,28 +184,14 @@ class SparseChunkStore:
 
     # ----- removal ------------------------------------------------------------
 
-    def compact(self, drop_rows: list[int]) -> None:
-        """Remove ``drop_rows``: shift later rows down and drop their edges.
-
-        Surviving edges left-shift stably (original order preserved) and
-        their targets are remapped; the remap is monotone, so sorted
-        adjacency rows stay sorted.  As in the dense store, surviving
-        peers keep their ``recv_total_*`` contributions from dropped
-        uploaders (matching the scalar engine's per-peer dicts).
-        """
-        if not drop_rows:
-            return
-        n = self.n
-        keep = np.ones(n, dtype=bool)
-        keep[np.asarray(drop_rows, dtype=np.intp)] = False
+    def _compact_links(self, keep: np.ndarray) -> None:
+        """Drop edges into dead rows: surviving edges left-shift stably
+        (original order preserved) and their targets are remapped; the
+        remap is monotone, so sorted adjacency rows stay sorted."""
+        n = keep.size
         m = int(keep.sum())
-        if m == n:
-            return
-        for pid in self.peer_id[:n][~keep]:
-            del self.row_of[int(pid)]
         remap = np.full(n, -1, dtype=np.int32)
         remap[keep] = np.arange(m, dtype=np.int32)
-        # --- edges: drop edges into dead rows, left-shift survivors ---
         A = self.nbr[:n]
         valid = A >= 0
         safe = np.where(valid, A, 0)
@@ -288,25 +207,8 @@ class SparseChunkStore:
         self.r_prev_e[:n] = np.where(live, rp, 0.0)
         self.r_cur_e[:n] = np.where(live, rc, 0.0)
         self.deg[:n] = new_deg
-        # --- rows ---
-        for arr in (self.own, self.own_packed, self.offered, self.nbr,
-                    self.r_prev_e, self.r_cur_e):
-            arr[:m] = arr[:n][keep]
-        for arr in (self.deg, self.recv_total_prev, self.recv_total_cur,
-                    self.peer_id, self.joined_at, self.finished_at,
-                    self.initially_seed, self.uploaded_useful,
-                    self.rotation_cursor, self.n_owned):
-            arr[:m] = arr[:n][keep]
         self.partials = [p for i, p in enumerate(self.partials) if keep[i]]
         self.active = [s for i, s in enumerate(self.active) if keep[i]]
-        self.n = m
-        for row, pid in enumerate(self.peer_id[:m]):
-            self.row_of[int(pid)] = row
-        if self._cap > 16 and m < self._cap // 4:
-            new_cap = self._cap
-            while new_cap > 16 and m < new_cap // 4:
-                new_cap //= 2
-            self._resize(max(new_cap, 16))
 
     # ----- round bookkeeping --------------------------------------------------
 
@@ -316,11 +218,7 @@ class SparseChunkStore:
         n = self.n
         self.r_prev_e, self.r_cur_e = self.r_cur_e, self.r_prev_e
         self.r_cur_e[:n] = 0.0
-        self.recv_total_prev, self.recv_total_cur = (
-            self.recv_total_cur,
-            self.recv_total_prev,
-        )
-        self.recv_total_cur[:n] = 0.0
+        super().rollover()
         for s in self.active[:n]:
             s.clear()
 
@@ -362,9 +260,6 @@ class SparseChunkStore:
     def clear_partials(self, row: int) -> None:
         self.partials[row].clear()
 
-    def is_finished(self, row: int) -> bool:
-        return not math.isnan(self.finished_at[row])
-
     # ----- introspection ------------------------------------------------------
 
     def nbytes(self) -> int:
@@ -374,11 +269,4 @@ class SparseChunkStore:
         hold O(upload slots) entries per peer and are not what dominates
         at scale.
         """
-        total = 0
-        for arr in (self.own, self.own_packed, self.offered, self.nbr,
-                    self.deg, self.r_prev_e, self.r_cur_e,
-                    self.recv_total_prev, self.recv_total_cur, self.peer_id,
-                    self.joined_at, self.finished_at, self.initially_seed,
-                    self.uploaded_useful, self.rotation_cursor, self.n_owned):
-            total += arr.nbytes
-        return total
+        return sum(getattr(self, name).nbytes for name, _ in self._ROWS)

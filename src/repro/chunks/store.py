@@ -1,11 +1,16 @@
-"""Structure-of-arrays state for the vectorised chunk-level swarm engine.
+"""Structure-of-arrays state for the array chunk engines.
 
-One :class:`ChunkStore` holds every per-peer and per-link quantity of a
-swarm as contiguous NumPy arrays, so the round kernels in
-:mod:`repro.chunks.swarm` operate on matrices instead of per-peer objects:
+Both engines of :mod:`repro.chunks.swarm` keep every per-peer quantity of
+a swarm as contiguous NumPy rows, one row per peer.  :class:`_PeerRows`
+holds what the two stores share -- the per-peer vectors, the P x C
+ownership matrix, and everything that treats rows uniformly (add-time
+validation and zeroing, capacity doubling, order-preserving compaction,
+the shrink policy, the ``recv_total_*`` rollover) -- and each store adds
+its own two-dimensional state on top.  :class:`ChunkStore` (the dense
+engine's) adds P x P and P x C matrices:
 
 * ``own`` -- the P x C boolean ownership matrix (one row per peer, one
-  column per chunk).  The interest step is a single boolean matmul over it.
+  column per chunk).  The dense interest step is one matmul over it.
 * ``partial_done`` / ``partial_dl`` / ``partial_sc`` / ``partial_seq`` --
   P x C partial-download accounting: work units received, the split of
   those units by uploader kind (downloader vs seed; banked as "useful" on
@@ -19,13 +24,13 @@ swarm as contiguous NumPy arrays, so the round kernels in
 * ``r_prev`` / ``r_cur`` -- P x P received-bytes matrices driving the
   tit-for-tat ranking; ``r_cur[receiver, uploader]`` accumulates this
   round and rolls into ``r_prev`` at round end.
-* ``recv_total_prev`` / ``recv_total_cur`` -- per-receiver running totals
-  of the same bytes, accumulated link by link in transfer order so they
-  stay bit-identical to the scalar engine's ``sum(dict.values())`` (which
-  also sees uploaders in first-contribution order).  Kept separate from
-  the matrices because the scalar totals *include* bytes from uploaders
-  that have since left the swarm, while their matrix rows are compacted
-  away.
+* ``recv_total_prev`` / ``recv_total_cur`` (shared) -- per-receiver
+  running totals of the same bytes, accumulated link by link in transfer
+  order so they stay bit-identical to the scalar engine's
+  ``sum(dict.values())`` (which also sees uploaders in first-contribution
+  order).  Kept separate from the matrices because the scalar totals
+  *include* bytes from uploaders that have since left the swarm, while
+  their matrix rows are compacted away.
 
 Rows are kept **in peer-insertion order** (peer ids are assigned
 monotonically, so row order == ascending id order).  This is load-bearing:
@@ -45,8 +50,6 @@ without leaking stale state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["ChunkStore"]
@@ -54,10 +57,31 @@ __all__ = ["ChunkStore"]
 _NAN = float("nan")
 
 
-class ChunkStore:
-    """Array-backed state for one chunk-level swarm."""
+class _PeerRows:
+    """Row bookkeeping shared by :class:`ChunkStore` and
+    :class:`repro.chunks.sparse_store.SparseChunkStore`.
 
-    def __init__(self, n_chunks: int, *, capacity: int = 16):
+    Every array whose first axis is the peer row is named in ``_ROWS``
+    with the value a fresh row holds; :meth:`add`, :meth:`_resize` and
+    :meth:`compact` treat them all alike, so a store lists its own
+    row-major arrays there and extends these methods only for state that
+    is not one row per peer.
+    """
+
+    _ROWS: tuple[tuple[str, object], ...] = (
+        ("own", False),
+        ("recv_total_prev", 0.0),
+        ("recv_total_cur", 0.0),
+        ("peer_id", 0),
+        ("joined_at", 0.0),
+        ("finished_at", _NAN),
+        ("initially_seed", False),
+        ("uploaded_useful", 0.0),
+        ("rotation_cursor", 0),
+        ("n_owned", 0),
+    )
+
+    def __init__(self, n_chunks: int, capacity: int):
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
         if capacity < 1:
@@ -65,21 +89,10 @@ class ChunkStore:
         self.n_chunks = int(n_chunks)
         self.n = 0
         self._cap = int(capacity)
-        #: monotone creation counter for partial entries (0 = no partial)
-        self.partial_counter = 0
         #: peer id -> row index (rows stay in insertion == id order)
         self.row_of: dict[int, int] = {}
         c = self._cap
-        C = self.n_chunks
-        self.own = np.zeros((c, C), dtype=bool)
-        self.partial_done = np.zeros((c, C), dtype=np.float64)
-        self.partial_dl = np.zeros((c, C), dtype=np.float64)
-        self.partial_sc = np.zeros((c, C), dtype=np.float64)
-        self.partial_seq = np.zeros((c, C), dtype=np.int64)
-        self.active = np.zeros((c, C), dtype=bool)
-        self.offered = np.zeros((c, C), dtype=np.int64)
-        self.r_prev = np.zeros((c, c), dtype=np.float64)
-        self.r_cur = np.zeros((c, c), dtype=np.float64)
+        self.own = np.zeros((c, self.n_chunks), dtype=bool)
         self.recv_total_prev = np.zeros(c, dtype=np.float64)
         self.recv_total_cur = np.zeros(c, dtype=np.float64)
         self.peer_id = np.zeros(c, dtype=np.int64)
@@ -104,84 +117,42 @@ class ChunkStore:
                 f"{int(self.peer_id[self.n - 1])})"
             )
         if self.n == self._cap:
-            self._grow()
+            self._resize(max(2 * self._cap, 16))
         row = self.n
         self.n += 1
-        C = self.n_chunks
-        self.own[row] = is_seed
-        self.partial_done[row] = 0.0
-        self.partial_dl[row] = 0.0
-        self.partial_sc[row] = 0.0
-        self.partial_seq[row] = 0
-        self.active[row] = False
-        self.offered[row] = 0
-        n = self.n
-        self.r_prev[row, :n] = 0.0
-        self.r_prev[:n, row] = 0.0
-        self.r_cur[row, :n] = 0.0
-        self.r_cur[:n, row] = 0.0
-        self.recv_total_prev[row] = 0.0
-        self.recv_total_cur[row] = 0.0
+        for name, fresh in self._ROWS:
+            getattr(self, name)[row] = fresh
         self.peer_id[row] = peer_id
         self.joined_at[row] = joined_at
-        self.finished_at[row] = joined_at if is_seed else _NAN
-        self.initially_seed[row] = is_seed
-        self.uploaded_useful[row] = 0.0
-        self.rotation_cursor[row] = 0
-        self.n_owned[row] = C if is_seed else 0
+        if is_seed:
+            self.own[row] = True
+            self.finished_at[row] = joined_at
+            self.initially_seed[row] = True
+            self.n_owned[row] = self.n_chunks
         self.row_of[peer_id] = row
         return row
 
-    def _grow(self) -> None:
-        self._resize(max(2 * self._cap, 16))
-
     def _resize(self, new_cap: int) -> None:
-        """Reallocate every array to ``new_cap`` rows, keeping the live ones."""
+        """Reallocate every row-indexed array to ``new_cap`` rows, keeping
+        the live ones.  Spare rows stay untouched zero pages until
+        :meth:`add` hands them out (and writes their fresh values)."""
         n = self.n
         assert new_cap >= n
-
-        def resized_2d(old: np.ndarray, cols: int) -> np.ndarray:
-            arr = np.zeros((new_cap, cols), dtype=old.dtype)
-            arr[:n] = old[:n]
-            return arr
-
-        def resized_1d(old: np.ndarray, fill: float = 0.0) -> np.ndarray:
-            arr = np.full(new_cap, fill, dtype=old.dtype)
-            arr[:n] = old[:n]
-            return arr
-
-        C = self.n_chunks
-        self.own = resized_2d(self.own, C)
-        self.partial_done = resized_2d(self.partial_done, C)
-        self.partial_dl = resized_2d(self.partial_dl, C)
-        self.partial_sc = resized_2d(self.partial_sc, C)
-        self.partial_seq = resized_2d(self.partial_seq, C)
-        self.active = resized_2d(self.active, C)
-        self.offered = resized_2d(self.offered, C)
-        for name in ("r_prev", "r_cur"):
+        for name, _ in self._ROWS:
             old = getattr(self, name)
-            arr = np.zeros((new_cap, new_cap), dtype=np.float64)
-            arr[:n, :n] = old[:n, :n]
+            arr = np.zeros((new_cap,) + old.shape[1:], dtype=old.dtype)
+            arr[:n] = old[:n]
             setattr(self, name, arr)
-        self.recv_total_prev = resized_1d(self.recv_total_prev)
-        self.recv_total_cur = resized_1d(self.recv_total_cur)
-        self.peer_id = resized_1d(self.peer_id)
-        self.joined_at = resized_1d(self.joined_at)
-        self.finished_at = resized_1d(self.finished_at, _NAN)
-        self.initially_seed = resized_1d(self.initially_seed)
-        self.uploaded_useful = resized_1d(self.uploaded_useful)
-        self.rotation_cursor = resized_1d(self.rotation_cursor)
-        self.n_owned = resized_1d(self.n_owned)
         self._cap = new_cap
 
     def compact(self, drop_rows: list[int]) -> None:
         """Remove ``drop_rows``, shifting later rows down (order-preserving).
 
-        Both axes of the received matrices are compacted; the per-receiver
-        ``recv_total_*`` entries of the *surviving* peers are carried over
-        untouched, deliberately keeping contributions from the dropped
-        uploaders (the scalar engine's per-peer dicts behave the same way:
-        a departed uploader's bytes still count in ``sum(values())``).
+        The per-receiver ``recv_total_*`` entries of the *surviving* peers
+        are carried over untouched, deliberately keeping contributions from
+        the dropped uploaders (the scalar engine's per-peer dicts behave the
+        same way: a departed uploader's bytes still count in
+        ``sum(values())``).
         """
         if not drop_rows:
             return
@@ -193,43 +164,89 @@ class ChunkStore:
             return
         for pid in self.peer_id[:n][~keep]:
             del self.row_of[int(pid)]
-        for arr in (
-            self.own,
-            self.partial_done,
-            self.partial_dl,
-            self.partial_sc,
-            self.partial_seq,
-            self.active,
-            self.offered,
-        ):
-            arr[:m] = arr[:n][keep]
-        for arr in (self.r_prev, self.r_cur):
-            arr[:m, :m] = arr[:n, :n][np.ix_(keep, keep)]
-        for arr in (
-            self.recv_total_prev,
-            self.recv_total_cur,
-            self.peer_id,
-            self.joined_at,
-            self.finished_at,
-            self.initially_seed,
-            self.uploaded_useful,
-            self.rotation_cursor,
-            self.n_owned,
-        ):
+        self._compact_links(keep)
+        for name, _ in self._ROWS:
+            arr = getattr(self, name)
             arr[:m] = arr[:n][keep]
         self.n = m
         for row, pid in enumerate(self.peer_id[:m]):
             self.row_of[int(pid)] = row
         # Mass departures (seed_stays=False endgames, churn storms) can
-        # leave a huge allocation nearly empty; the P x P matrices make
-        # that quadratic, so reclaim once under a quarter is live.  The
-        # floor and the half-capacity target keep hysteresis: a shrink is
-        # immediately followed by neither another shrink nor a grow.
+        # leave a huge allocation nearly empty; reclaim once under a
+        # quarter is live.  The floor and the half-capacity target keep
+        # hysteresis: a shrink is immediately followed by neither another
+        # shrink nor a grow.
         if self._cap > 16 and m < self._cap // 4:
             new_cap = self._cap
             while new_cap > 16 and m < new_cap // 4:
                 new_cap //= 2
             self._resize(max(new_cap, 16))
+
+    def _compact_links(self, keep: np.ndarray) -> None:
+        """Drop the peer-to-peer state of the rows ``keep`` rejects, before
+        the row arrays shift (rows still carry their old indices)."""
+
+    # ----- round bookkeeping --------------------------------------------------
+
+    def rollover(self) -> None:
+        """Close the round: this round's received totals become last round's."""
+        self.recv_total_prev, self.recv_total_cur = (
+            self.recv_total_cur,
+            self.recv_total_prev,
+        )
+        self.recv_total_cur[: self.n] = 0.0
+
+
+class ChunkStore(_PeerRows):
+    """Array-backed state for one dense chunk-level swarm."""
+
+    _ROWS = _PeerRows._ROWS + (
+        ("partial_done", 0.0),
+        ("partial_dl", 0.0),
+        ("partial_sc", 0.0),
+        ("partial_seq", 0),
+        ("active", False),
+        ("offered", 0),
+    )
+
+    def __init__(self, n_chunks: int, *, capacity: int = 16):
+        super().__init__(n_chunks, capacity)
+        #: monotone creation counter for partial entries (0 = no partial)
+        self.partial_counter = 0
+        c = self._cap
+        C = self.n_chunks
+        self.partial_done = np.zeros((c, C), dtype=np.float64)
+        self.partial_dl = np.zeros((c, C), dtype=np.float64)
+        self.partial_sc = np.zeros((c, C), dtype=np.float64)
+        self.partial_seq = np.zeros((c, C), dtype=np.int64)
+        self.active = np.zeros((c, C), dtype=bool)
+        self.offered = np.zeros((c, C), dtype=np.int64)
+        self.r_prev = np.zeros((c, c), dtype=np.float64)
+        self.r_cur = np.zeros((c, c), dtype=np.float64)
+
+    def add(self, peer_id: int, *, is_seed: bool, joined_at: float) -> int:
+        row = super().add(peer_id, is_seed=is_seed, joined_at=joined_at)
+        n = self.n
+        for arr in (self.r_prev, self.r_cur):
+            arr[row, :n] = 0.0
+            arr[:n, row] = 0.0
+        return row
+
+    def _resize(self, new_cap: int) -> None:
+        super()._resize(new_cap)
+        n = self.n
+        for name in ("r_prev", "r_cur"):
+            old = getattr(self, name)
+            arr = np.zeros((new_cap, new_cap), dtype=np.float64)
+            arr[:n, :n] = old[:n, :n]
+            setattr(self, name, arr)
+
+    def _compact_links(self, keep: np.ndarray) -> None:
+        # both axes of the received matrices
+        m = int(keep.sum())
+        n = keep.size
+        for arr in (self.r_prev, self.r_cur):
+            arr[:m, :m] = arr[:n, :n][np.ix_(keep, keep)]
 
     # ----- round bookkeeping --------------------------------------------------
 
@@ -238,11 +255,7 @@ class ChunkStore:
         n = self.n
         self.r_prev, self.r_cur = self.r_cur, self.r_prev
         self.r_cur[:n, :n] = 0.0
-        self.recv_total_prev, self.recv_total_cur = (
-            self.recv_total_cur,
-            self.recv_total_prev,
-        )
-        self.recv_total_cur[:n] = 0.0
+        super().rollover()
         self.active[:n] = False
 
     def next_partial_seq(self) -> int:
@@ -255,18 +268,16 @@ class ChunkStore:
         """``chunk -> [done, credit_downloader, credit_seed]`` in creation order.
 
         Matches the scalar engine's dict-insertion ordering, which the
-        resume tie-break depends on.
+        resume tie-break and the engines' write-offs into ``wasted_bytes``
+        depend on.
         """
-        seq_row = self.partial_seq[row]
-        chunks = np.nonzero(seq_row > 0)[0]
-        chunks = chunks[np.argsort(seq_row[chunks], kind="stable")]
         return {
             int(c): [
                 float(self.partial_done[row, c]),
                 float(self.partial_dl[row, c]),
                 float(self.partial_sc[row, c]),
             ]
-            for c in chunks
+            for c in self.partial_chunks_in_order(row)
         }
 
     def received_dict(self, row: int, *, prev: bool) -> dict[int, float]:
@@ -277,11 +288,7 @@ class ChunkStore:
         return {int(self.peer_id[c]): float(vals[c]) for c in cols}
 
     def partial_chunks_in_order(self, row: int) -> np.ndarray:
-        """Chunks with live partials, in creation (dict-insertion) order.
-
-        Write-offs iterate this so the float adds into ``wasted_bytes``
-        happen in the scalar engine's order.
-        """
+        """Chunks with live partials, in creation (dict-insertion) order."""
         seq_row = self.partial_seq[row]
         chunks = np.nonzero(seq_row > 0)[0]
         return chunks[np.argsort(seq_row[chunks], kind="stable")]
@@ -295,6 +302,3 @@ class ChunkStore:
         self.partial_dl[row] = 0.0
         self.partial_sc[row] = 0.0
         self.partial_seq[row] = 0
-
-    def is_finished(self, row: int) -> bool:
-        return not math.isnan(self.finished_at[row])

@@ -1,9 +1,19 @@
-"""Round-based chunk-level swarm engine, vectorised.
+"""Round-based chunk-level swarm engines, vectorised.
 
 Same model as the scalar oracle (:mod:`repro.chunks.reference`) -- each
-round runs interest, choking, transfer, completion -- but the per-peer
-dict/bitmap state lives in a :class:`repro.chunks.store.ChunkStore`
-(structure of arrays) and the O(peers^2) phases are array kernels:
+round runs interest, choking, transfer, completion -- with the per-peer
+dict/bitmap state in a structure-of-arrays store.  Two engines run that
+round: the dense :class:`ChunkSwarm` here (full mixing, a
+:class:`repro.chunks.store.ChunkStore`) and the bounded-degree
+:class:`repro.chunks.sparse.SparseChunkSwarm` (a
+:class:`repro.chunks.sparse_store.SparseChunkStore`).  They share one
+round: :class:`_RoundEngine` holds the accounting, membership, the one
+departure path (churn, completions, shard emigration), the seed policies
+and tit-for-tat choking, the round loop and ``run``.  Each engine adds
+only its store and kernels -- interest, how a choke column maps to a peer
+row and its last-round bytes, the round-local pick state,
+``_pick_chunk``/``_transfer`` and the per-link tit-for-tat credit.  The
+dense kernels:
 
 * **Interest** is one boolean matmul over the P x C ownership matrix:
   ``interest[u, d] = (own[u] & ~own[d]).any()`` via
@@ -23,8 +33,8 @@ dict/bitmap state lives in a :class:`repro.chunks.store.ChunkStore`
   P x P received matrix in the scalar engine's order, and flips the
   receiver's bits beside each write.
 
-The engine is **bit-for-bit equivalent** to the reference: every RNG call
-site fires in the same order with the same population sizes (so the
+The engines are **bit-for-bit equivalent** to the reference: every RNG
+call site fires in the same order with the same population sizes (so the
 underlying ``Generator`` state evolves identically), candidate lists are
 presented in the scalar engine's dict-insertion order (store rows are kept
 in insertion == ascending-id order; see ``ChunkStore``), and every float
@@ -46,8 +56,8 @@ import time
 import numpy as np
 
 from repro.chunks.config import ChunkSwarmConfig
-from repro.chunks.peer import ChunkPeer, ChunkPeerView
-from repro.chunks.store import ChunkStore
+from repro.chunks.peer import ChunkPeerView
+from repro.chunks.store import ChunkStore, _PeerRows
 from repro.obs import current_registry
 
 __all__ = ["ChunkSwarm"]
@@ -76,18 +86,20 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-class ChunkSwarm:
-    """A single-file chunk-level swarm (vectorised engine)."""
+class _RoundEngine:
+    """The engine-independent part of a chunk round (see the module doc).
 
-    def __init__(self, config: ChunkSwarmConfig, *, seed: int = 0):
-        if config.neighbor_degree is not None:
-            raise ValueError(
-                "the dense engine assumes full mixing (neighbor_degree=None); "
-                "use repro.chunks.sparse.SparseChunkSwarm for bounded degrees"
-            )
+    Subclasses supply the store and the kernels: ``_interest``,
+    ``_neighbor_rows``, ``_received_last_round``, ``_pick_state`` and
+    ``_transfer`` (which also credits the link's tit-for-tat tally), plus
+    optionally the membership hooks ``_joined``, ``_completed`` and
+    ``_departed``.
+    """
+
+    def __init__(self, config: ChunkSwarmConfig, store: _PeerRows, seed: int):
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.store = ChunkStore(config.n_chunks)
+        self.store = store
         #: peer id -> live row view, in insertion order (== store row order)
         self.peers: dict[int, ChunkPeerView] = {}
         self.now = 0.0
@@ -112,7 +124,8 @@ class ChunkSwarm:
     def add_peer(self, *, is_seed: bool = False) -> ChunkPeerView:
         pid = self._next_id
         self._next_id += 1
-        self.store.add(pid, is_seed=is_seed, joined_at=self.now)
+        row = self.store.add(pid, is_seed=is_seed, joined_at=self.now)
+        self._joined(pid, row, is_seed)
         view = ChunkPeerView(self.store, pid)
         self.peers[pid] = view
         return view
@@ -122,18 +135,49 @@ class ChunkSwarm:
 
     def remove_peer(self, peer_id: int) -> ChunkPeerView:
         """Remove a peer (churn); its unfinished partials become waste."""
-        st = self.store
+        return self._depart([self._row(peer_id)])[0]
+
+    def _row(self, peer_id: int) -> int:
         try:
-            row = st.row_of[peer_id]
+            return self.store.row_of[peer_id]
         except KeyError:
             raise KeyError(f"no peer {peer_id} in the swarm") from None
-        for chunk in st.partial_chunks_in_order(row):
-            self.wasted_bytes += float(st.partial_done[row, chunk])
+
+    def _write_off(self, row: int) -> None:
+        """Book ``row``'s unfinished partials as waste, in creation order."""
+        st = self.store
+        for done, _, _ in st.partials_dict(row).values():
+            self.wasted_bytes += done
         st.clear_partials(row)
-        view = self.peers.pop(peer_id)
-        view.detach()
-        st.compact([row])
-        return view
+
+    def _depart(
+        self, rows: list[int], *, write_off: bool = True
+    ) -> list[ChunkPeerView]:
+        """Remove ``rows``: write off their partials (or just drop them when
+        the caller carries them away), detach their views, compact the
+        store, then tell the engine who left."""
+        st = self.store
+        views = []
+        for row in rows:
+            if write_off:
+                self._write_off(row)
+            else:
+                st.clear_partials(row)
+            view = self.peers.pop(int(st.peer_id[row]))
+            view.detach()
+            views.append(view)
+        st.compact(rows)
+        self._departed([view.peer_id for view in views])
+        return views
+
+    def _joined(self, peer_id: int, row: int, is_seed: bool) -> None:
+        """A peer took store row ``row``."""
+
+    def _completed(self, rows: list[int]) -> None:
+        """``rows`` finished their download this round (before departures)."""
+
+    def _departed(self, peer_ids: list[int]) -> None:
+        """``peer_ids`` left the swarm (the store is already compacted)."""
 
     @property
     def downloaders(self) -> list[ChunkPeerView]:
@@ -160,11 +204,213 @@ class ChunkSwarm:
         st = self.store
         return bool((st.n_owned[: st.n] == st.n_chunks).all())
 
-    # ----- chunk availability ---------------------------------------------------
-
     def availability(self) -> np.ndarray:
-        """How many peers own each chunk (drives rarest-first)."""
+        """How many (local) peers own each chunk (drives rarest-first)."""
         return self.store.own[: self.store.n].sum(axis=0, dtype=int)
+
+    # ----- choking ------------------------------------------------------------
+
+    def _select_rows(self, u: int, cols: np.ndarray, is_seed_u: bool) -> np.ndarray:
+        """Rows ``u`` serves this round.
+
+        ``cols`` are the interested entries of ``u``'s interest row (see
+        ``_interest``), ascending, i.e. in the oracle's insertion order.
+        """
+        cfg = self.config
+        st = self.store
+        rng = self.rng
+        irows = self._neighbor_rows(u, cols)
+        if is_seed_u:
+            k = min(cfg.total_slots, irows.size)
+            policy = cfg.seed_unchoke
+            if policy == "round_robin":
+                start = int(st.rotation_cursor[u]) % irows.size
+                st.rotation_cursor[u] = start + k
+                return irows[(start + np.arange(k)) % irows.size]
+            if policy == "fastest":
+                order = np.argsort(-st.recv_total_prev[irows], kind="stable")
+                return irows[order[:k]]
+            return rng.choice(irows, size=k, replace=False)
+        # Tit-for-tat: rank by bytes received from them last round.
+        order = np.argsort(-self._received_last_round(u, cols), kind="stable")
+        top = order[: cfg.n_upload_slots]
+        regular = irows[top]
+        if cfg.optimistic_slots > 0 and irows.size > regular.size:
+            rest_mask = np.ones(irows.size, dtype=bool)
+            rest_mask[top] = False
+            rest = irows[rest_mask]
+            k = min(cfg.optimistic_slots, rest.size)
+            optimistic = rng.choice(rest, size=k, replace=False)
+            return np.concatenate((regular, optimistic))
+        return regular
+
+    def _select_unchoked(self, uploader: ChunkPeerView) -> list[int]:
+        """Whom ``uploader`` serves this round (peer ids)."""
+        st = self.store
+        u = st.row_of[uploader.peer_id]
+        cols = np.nonzero(self._interest(st.n)[u])[0]
+        if cols.size == 0:
+            return []
+        is_seed_u = int(st.n_owned[u]) == st.n_chunks
+        return [int(pid) for pid in st.peer_id[self._select_rows(u, cols, is_seed_u)]]
+
+    # ----- the round ----------------------------------------------------------
+
+    def run_round(self) -> None:
+        """Advance the swarm by one choking round."""
+        cfg = self.config
+        st = self.store
+        reg = current_registry()
+        obs = reg.enabled
+        n = st.n
+        C = cfg.n_chunks
+
+        t0 = time.perf_counter() if obs else 0.0
+        interest = self._interest(n)
+        if obs:
+            t1 = time.perf_counter()
+            reg.observe("chunks.kernel.interest", t1 - t0)
+
+        n_owned = st.n_owned
+        was_dl = n_owned[:n] < C
+        receivers_per: list[np.ndarray] = []
+        for u in range(n):
+            cols = np.nonzero(interest[u])[0]
+            if cols.size == 0:
+                receivers_per.append(_EMPTY_ROWS)
+            else:
+                receivers_per.append(self._select_rows(u, cols, not was_dl[u]))
+        if obs:
+            t2 = time.perf_counter()
+            reg.observe("chunks.kernel.choke", t2 - t1)
+
+        round_start = (
+            self.downloader_useful,
+            self.downloader_capacity,
+            self.seed_useful,
+            self.seed_capacity,
+        )
+        n_downloaders = int(was_dl.sum())
+        n_seeds = n - n_downloaders
+        budget = cfg.upload_rate * cfg.round_length
+        completions: list[int] = []
+        fin = st.finished_at
+        recv_total_cur = st.recv_total_cur
+        n_links = 0
+        self._round_picks = 0
+        state = self._pick_state(n)
+        for u in range(n):
+            u_is_dl = bool(was_dl[u])
+            if u_is_dl:
+                self.downloader_capacity += budget
+            else:
+                self.seed_capacity += budget
+            receivers = receivers_per[u]
+            if receivers.size == 0:
+                continue
+            n_links += receivers.size
+            per_link = budget / receivers.size
+            for r in receivers:
+                r = int(r)
+                sent = self._transfer(
+                    u, r, per_link, state, uploader_is_downloader=u_is_dl
+                )
+                if sent > 0:
+                    recv_total_cur[r] += sent
+                if n_owned[r] == C and math.isnan(fin[r]):
+                    completions.append(r)
+        self.now += cfg.round_length
+        self.rounds_run += 1
+        self.history.append(
+            (
+                self.now,
+                self.downloader_useful - round_start[0],
+                self.downloader_capacity - round_start[1],
+                self.seed_useful - round_start[2],
+                self.seed_capacity - round_start[3],
+                n_downloaders,
+                n_seeds,
+            )
+        )
+        finished: list[int] = []
+        for r in completions:
+            if math.isnan(fin[r]):  # several links may complete r: once only
+                fin[r] = self.now
+                finished.append(r)
+        if finished:
+            self._completed(finished)
+            # A finished peer has no partials left by construction, but any
+            # stragglers (numerical slack) are written off as waste.
+            if cfg.seed_stays:
+                for r in finished:
+                    self._write_off(r)
+            else:
+                self._depart(finished)
+        st.rollover()
+        if obs:
+            t3 = time.perf_counter()
+            reg.observe("chunks.kernel.transfer", t3 - t2)
+            reg.inc("chunks.rounds")
+            reg.inc("chunks.kernel.links", n_links)
+            reg.inc("chunks.kernel.picks", self._round_picks)
+            reg.inc("chunks.peers_finished", len(finished))
+
+    def run(self, *, max_rounds: int = 100_000) -> int:
+        """Run rounds until every downloader finishes; return rounds used."""
+        start = self.rounds_run
+        while not self.all_done:
+            if self.rounds_run - start >= max_rounds:
+                n_left = int(
+                    (self.store.n_owned[: self.store.n] < self.config.n_chunks).sum()
+                )
+                raise RuntimeError(
+                    f"swarm did not finish within {max_rounds} rounds "
+                    f"({n_left} downloaders left)"
+                )
+            self.run_round()
+        return self.rounds_run - start
+
+
+class ChunkSwarm(_RoundEngine):
+    """A single-file chunk-level swarm (dense vectorised engine)."""
+
+    def __init__(self, config: ChunkSwarmConfig, *, seed: int = 0):
+        if config.neighbor_degree is not None:
+            raise ValueError(
+                "the dense engine assumes full mixing (neighbor_degree=None); "
+                "use repro.chunks.sparse.SparseChunkSwarm for bounded degrees"
+            )
+        super().__init__(config, ChunkStore(config.n_chunks), seed)
+
+    # ----- kernels --------------------------------------------------------------
+
+    def _interest(self, n: int) -> np.ndarray:
+        """``interest[u, d]``: row ``d`` is interested in ``u`` (``u`` owns a
+        chunk ``d`` lacks); the diagonal is structurally False."""
+        ownf = self.store.own[:n].astype(np.float32)
+        return (ownf @ (1.0 - ownf).T) > 0.5
+
+    def _neighbor_rows(self, u: int, cols: np.ndarray) -> np.ndarray:
+        """Peer rows of ``u``'s interest columns (here the columns are rows)."""
+        return cols
+
+    def _received_last_round(self, u: int, cols: np.ndarray) -> np.ndarray:
+        """Bytes ``u`` received last round from each of those peers."""
+        return self.store.r_prev[u, cols]
+
+    def _pick_state(self, n: int) -> tuple:
+        """Round-local row bitsets (bit i = chunk i) mirroring the ownership,
+        live-partial and active flags for the pick loop, plus per-chunk
+        availability; ``_transfer`` updates them beside the store arrays.
+        ``rollover`` cleared ``active`` at the end of the last round."""
+        st = self.store
+        own = st.own[:n]
+        return (
+            _pack_rows(own),
+            _pack_rows(st.partial_seq[:n] > 0),
+            [0] * n,
+            own.sum(axis=0, dtype=int).tolist(),
+        )
 
     def _pick_chunk(
         self,
@@ -178,7 +424,7 @@ class ChunkSwarm:
         """Local rarest first among needed, offered, not-in-flight chunks.
 
         Bitset port of the reference ``_pick_chunk`` over the round-local
-        row bitsets (see ``run_round``); consumes the RNG at exactly the
+        row bitsets (see ``_pick_state``); consumes the RNG at exactly the
         same call sites with the same population sizes.
         """
         candidates = own_bits[u] & ~own_bits[r]
@@ -227,189 +473,12 @@ class ChunkSwarm:
         st.offered[u, chunk] += 1
         return chunk
 
-    # ----- choking ----------------------------------------------------------------
-
-    def _select_rows(
-        self, u: int, irows: np.ndarray, is_seed_u: bool
-    ) -> np.ndarray:
-        """Rows ``u`` serves this round; ``irows`` in insertion order."""
-        cfg = self.config
-        st = self.store
-        rng = self.rng
-        if is_seed_u:
-            k = min(cfg.total_slots, irows.size)
-            policy = cfg.seed_unchoke
-            if policy == "round_robin":
-                start = int(st.rotation_cursor[u]) % irows.size
-                st.rotation_cursor[u] = start + k
-                return irows[(start + np.arange(k)) % irows.size]
-            if policy == "fastest":
-                order = np.argsort(-st.recv_total_prev[irows], kind="stable")
-                return irows[order[:k]]
-            return rng.choice(irows, size=k, replace=False)
-        # Tit-for-tat: rank by bytes received from them last round.
-        order = np.argsort(-st.r_prev[u, irows], kind="stable")
-        top = order[: cfg.n_upload_slots]
-        regular = irows[top]
-        if cfg.optimistic_slots > 0 and irows.size > regular.size:
-            rest_mask = np.ones(irows.size, dtype=bool)
-            rest_mask[top] = False
-            rest = irows[rest_mask]
-            k = min(cfg.optimistic_slots, rest.size)
-            optimistic = rng.choice(rest, size=k, replace=False)
-            return np.concatenate((regular, optimistic))
-        return regular
-
-    def _select_unchoked(self, uploader: ChunkPeerView) -> list[int]:
-        """Whom ``uploader`` serves this round (peer ids)."""
-        st = self.store
-        n = st.n
-        u = st.row_of[uploader.peer_id]
-        own = st.own[:n]
-        counts = (~own).astype(np.float32) @ own[u].astype(np.float32)
-        irows = np.nonzero(counts > 0.5)[0]
-        if irows.size == 0:
-            return []
-        is_seed_u = int(st.n_owned[u]) == st.n_chunks
-        return [int(pid) for pid in st.peer_id[self._select_rows(u, irows, is_seed_u)]]
-
-    # ----- the round ----------------------------------------------------------------
-
-    def run_round(self) -> None:
-        """Advance the swarm by one choking round."""
-        cfg = self.config
-        st = self.store
-        reg = current_registry()
-        obs = reg.enabled
-        n = st.n
-        C = cfg.n_chunks
-        own = st.own[:n]
-
-        t0 = time.perf_counter() if obs else 0.0
-        # interest[u, d]: d is interested in u (u owns a chunk d lacks);
-        # the diagonal is structurally False.
-        ownf = own.astype(np.float32)
-        interest = (ownf @ (1.0 - ownf).T) > 0.5
-        if obs:
-            t1 = time.perf_counter()
-            reg.observe("chunks.kernel.interest", t1 - t0)
-
-        n_owned = st.n_owned
-        was_dl = n_owned[:n] < C
-        receivers_per: list[np.ndarray] = []
-        for u in range(n):
-            irows = np.nonzero(interest[u])[0]
-            if irows.size == 0:
-                receivers_per.append(_EMPTY_ROWS)
-            else:
-                receivers_per.append(
-                    self._select_rows(u, irows, not was_dl[u])
-                )
-        if obs:
-            t2 = time.perf_counter()
-            reg.observe("chunks.kernel.choke", t2 - t1)
-
-        round_start = (
-            self.downloader_useful,
-            self.downloader_capacity,
-            self.seed_useful,
-            self.seed_capacity,
-        )
-        n_downloaders = int(was_dl.sum())
-        n_seeds = n - n_downloaders
-        budget = cfg.upload_rate * cfg.round_length
-        completions: list[int] = []
-        fin = st.finished_at
-        r_cur = st.r_cur
-        recv_total_cur = st.recv_total_cur
-        n_links = 0
-        self._round_picks = 0
-        # Round-local row bitsets (bit i = chunk i) mirror the ownership,
-        # live-partial and active flags for the pick loop; ``_transfer``
-        # updates them beside the store arrays.  ``rollover`` cleared
-        # ``active`` at the end of the last round.
-        own_bits = _pack_rows(own)
-        part_bits = _pack_rows(st.partial_seq[:n] > 0)
-        act_bits = [0] * n
-        avail = own.sum(axis=0, dtype=int).tolist()
-        for u in range(n):
-            u_is_dl = bool(was_dl[u])
-            if u_is_dl:
-                self.downloader_capacity += budget
-            else:
-                self.seed_capacity += budget
-            receivers = receivers_per[u]
-            if receivers.size == 0:
-                continue
-            n_links += receivers.size
-            per_link = budget / receivers.size
-            for r in receivers:
-                r = int(r)
-                sent = self._transfer(
-                    u,
-                    r,
-                    per_link,
-                    own_bits,
-                    part_bits,
-                    act_bits,
-                    avail,
-                    uploader_is_downloader=u_is_dl,
-                )
-                if sent > 0:
-                    # Tit-for-tat ranks by transfer effort, duplicates and all.
-                    r_cur[r, u] += sent
-                    recv_total_cur[r] += sent
-                if n_owned[r] == C and math.isnan(fin[r]):
-                    completions.append(r)
-        self.now += cfg.round_length
-        self.rounds_run += 1
-        self.history.append(
-            (
-                self.now,
-                self.downloader_useful - round_start[0],
-                self.downloader_capacity - round_start[1],
-                self.seed_useful - round_start[2],
-                self.seed_capacity - round_start[3],
-                n_downloaders,
-                n_seeds,
-            )
-        )
-        n_finished = 0
-        drop_rows: list[int] = []
-        for r in completions:
-            if not math.isnan(fin[r]):
-                continue  # unchoked by several uploaders: one entry per link
-            fin[r] = self.now
-            n_finished += 1
-            # A finished peer has no partials left by construction, but any
-            # stragglers (numerical slack) are written off as waste.
-            for chunk in st.partial_chunks_in_order(r):
-                self.wasted_bytes += float(st.partial_done[r, chunk])
-            st.clear_partials(r)
-            if not cfg.seed_stays:
-                pid = int(st.peer_id[r])
-                self.peers.pop(pid).detach()
-                drop_rows.append(r)
-        if drop_rows:
-            st.compact(drop_rows)
-        st.rollover()
-        if obs:
-            t3 = time.perf_counter()
-            reg.observe("chunks.kernel.transfer", t3 - t2)
-            reg.inc("chunks.rounds")
-            reg.inc("chunks.kernel.links", n_links)
-            reg.inc("chunks.kernel.picks", self._round_picks)
-            reg.inc("chunks.peers_finished", n_finished)
-
     def _transfer(
         self,
         u: int,
         r: int,
         amount: float,
-        own_bits: list[int],
-        part_bits: list[int],
-        act_bits: list[int],
-        avail: list[int],
+        state: tuple,
         *,
         uploader_is_downloader: bool,
     ) -> float:
@@ -419,8 +488,10 @@ class ChunkSwarm:
         chunk: the link that finishes a chunk banks its accumulated bytes
         into the downloader/seed useful counters.  The store arrays are
         written exactly as the scalar engine updates its dicts; the
-        round-local bitsets of ``r`` follow each write.
+        round-local bitsets of ``r`` (``state``, see ``_pick_state``)
+        follow each write.
         """
+        own_bits, part_bits, act_bits, avail = state
         st = self.store
         chunk_size = self.config.chunk_size
         threshold = chunk_size - 1e-15
@@ -472,19 +543,7 @@ class ChunkSwarm:
                 part_bits[r] &= ~bit
                 act_bits[r] &= ~bit
         self._round_picks += picks
+        if sent > 0:
+            # Tit-for-tat ranks by transfer effort, duplicates and all.
+            st.r_cur[r, u] += sent
         return sent
-
-    def run(self, *, max_rounds: int = 100_000) -> int:
-        """Run rounds until every downloader finishes; return rounds used."""
-        start = self.rounds_run
-        while not self.all_done:
-            if self.rounds_run - start >= max_rounds:
-                n_left = int(
-                    (self.store.n_owned[: self.store.n] < self.config.n_chunks).sum()
-                )
-                raise RuntimeError(
-                    f"swarm did not finish within {max_rounds} rounds "
-                    f"({n_left} downloaders left)"
-                )
-            self.run_round()
-        return self.rounds_run - start

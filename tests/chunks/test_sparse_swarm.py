@@ -209,6 +209,40 @@ def test_stranded_peers_rewire_and_finish():
     assert sw.all_done
 
 
+def _strand_last_peer(depart) -> SparseChunkSwarm:
+    """1 seed + 6 leechers at degree 2: after 3 rounds the newest peer has a
+    single neighbour; ``depart(sw, pid)`` removes that neighbour."""
+    cfg = ChunkSwarmConfig(n_chunks=12, neighbor_degree=2)
+    sw = SparseChunkSwarm(cfg, seed=1)
+    sw.add_peers(1, is_seed=True)
+    sw.add_peers(6)
+    for _ in range(3):
+        sw.run_round()
+    st = sw.store
+    nbrs = st.neighbors(st.n - 1)
+    assert nbrs.size == 1
+    depart(sw, int(st.peer_id[nbrs[0]]))
+    return sw
+
+
+@pytest.mark.parametrize(
+    "depart",
+    [
+        pytest.param(lambda sw, pid: sw.remove_peer(pid), id="churn"),
+        pytest.param(lambda sw, pid: sw.export_peers([pid]), id="emigration"),
+    ],
+)
+def test_departures_outside_the_round_rewire_stranded_peers(depart):
+    """Regression: churn (``remove_peer``) and shard emigration
+    (``export_peers``) share the in-round departure path, so a peer whose
+    only neighbour leaves re-wires instead of stalling at degree 0."""
+    sw = _strand_last_peer(depart)
+    st = sw.store
+    assert int(st.deg[: st.n].min()) >= 1
+    sw.run(max_rounds=500)
+    assert sw.all_done
+
+
 def test_join_never_isolated_even_when_all_candidates_at_cap():
     """Regression: a joiner whose sampled candidates all sit at the
     connection cap attaches to the least-loaded one anyway."""

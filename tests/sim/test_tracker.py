@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import (
     AnnounceEvent,
@@ -67,6 +69,83 @@ class TestTracker:
     def test_numwant_validated(self):
         with pytest.raises(ValueError, match="numwant"):
             make_tracker(numwant=0)
+
+
+def list_building_announce(
+    tables: dict[int, dict[int, bool]],
+    rng: np.random.Generator,
+    numwant: int,
+    user_id: int,
+    file_id: int,
+    event: AnnounceEvent,
+    is_seeder: bool,
+    want_peers: bool,
+) -> list[int]:
+    """Copy of the list-building ``Tracker.announce`` draw: a list of every
+    other member, then ``numwant`` distinct indices into it.  Any faster
+    tracker must return the same samples and leave ``rng`` in the same
+    state (the sparse chunk engine and the neighbour-aware DES both draw
+    from it)."""
+    table = tables.setdefault(file_id, {})
+    if event is AnnounceEvent.STARTED:
+        table[user_id] = is_seeder
+    elif event is AnnounceEvent.COMPLETED:
+        table[user_id] = True
+    else:
+        table.pop(user_id, None)
+    if not want_peers:
+        return []
+    others = [uid for uid in table if uid != user_id]
+    if len(others) <= numwant:
+        return others
+    picked = rng.choice(len(others), size=numwant, replace=False)
+    return [others[k] for k in picked]
+
+
+_ANNOUNCES = hst.lists(
+    hst.tuples(
+        hst.sampled_from(list(AnnounceEvent)),
+        hst.integers(0, 40),  # user id
+        hst.integers(0, 1),  # file id
+        hst.booleans(),  # is_seeder
+        hst.booleans(),  # want_peers
+    ),
+    max_size=120,
+)
+
+
+class TestAnnounceSamplesPinned:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=_ANNOUNCES,
+        numwant=hst.integers(1, 8),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_samples_and_rng_match_list_building_draw(self, ops, numwant, seed):
+        tracker = Tracker(np.random.default_rng(seed), numwant=numwant)
+        ref_rng = np.random.default_rng(seed)
+        tables: dict[int, dict[int, bool]] = {}
+        for event, uid, fid, is_seeder, want_peers in ops:
+            if event is AnnounceEvent.COMPLETED and uid not in tables.get(fid, {}):
+                event = AnnounceEvent.STARTED  # completing needs a start
+            got = tracker.announce(
+                uid, fid, event, is_seeder=is_seeder, want_peers=want_peers
+            )
+            want = list_building_announce(
+                tables, ref_rng, numwant, uid, fid, event, is_seeder, want_peers
+            )
+            assert got == want
+        assert tracker.rng.bit_generator.state == ref_rng.bit_generator.state
+        for fid, table in tables.items():
+            assert tracker.members(fid) == set(table)
+
+    def test_small_swarm_returns_everyone_without_drawing(self):
+        tracker = make_tracker(numwant=5, seed=3)
+        before = tracker.rng.bit_generator.state
+        for uid in range(5):
+            tracker.announce(uid, 0, AnnounceEvent.STARTED)
+        assert tracker.announce(9, 0, AnnounceEvent.STARTED) == [0, 1, 2, 3, 4]
+        assert tracker.rng.bit_generator.state == before
 
 
 class TestNeighborAwareRates:
