@@ -14,7 +14,8 @@ downloader ``eta`` times its own contribution; seed capacity is split
 proportionally to download bandwidth).  There are no chunk maps -- that
 detail is already abstracted into ``eta`` by the paper itself.
 
-Layering (bottom-up): :mod:`engine` (event queue) -> :mod:`swarm`
+Layering (bottom-up): :mod:`engine` (event queue) -> :mod:`topology`
+(live neighbour matrices of tracker-limited swarms) -> :mod:`swarm`
 (per-file swarms, bandwidth bookkeeping) -> :mod:`system` (progress
 advancement, completions) -> :mod:`behaviors` (per-scheme user state
 machines) -> :mod:`scenarios` (ready-made experiment setups).

@@ -1,6 +1,6 @@
 """Reference implementations the DES is checked against.
 
-Two kinds of oracle live here, and no production module imports this one.
+Three kinds of oracle live here, and no production module imports this one.
 
 **Scalar kernels.**  The original per-entry Python loops that
 :meth:`repro.sim.swarm.Swarm.recompute_rates`,
@@ -14,6 +14,11 @@ benchmarks (``benchmarks/test_bench_kernels.py``).  All of them mutate the
 swarm's entries through the ordinary attribute API, which writes through
 to the structure-of-arrays store -- so a scalar pass and a vectorised pass
 run on the *same* swarm object and can be compared directly.
+
+**Topology rebuild.**  :func:`neighbor_topology_rebuild` rebuilds a
+tracker-limited swarm's adjacency and seed-reach matrices from scratch
+out of its tracker samples.  The live topology
+(:mod:`repro.sim.topology`) must gather the same arrays, bit for bit.
 
 **Oracle modes.**  The DES has one production path; the slower paths it
 must agree with are swapped in for the duration of a ``with`` block by
@@ -38,12 +43,15 @@ import contextlib
 import math
 from typing import TYPE_CHECKING, Iterator, Mapping
 
+import numpy as np
+
 import repro.sim.swarm as swarm_module
+from repro.obs import current_registry
 from repro.sim.engine import Simulator
 from repro.sim.system import SimulationSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.entities import DownloadEntry, UserRecord
+    from repro.sim.entities import UserRecord
     from repro.sim.swarm import Swarm, SwarmGroup
 
 __all__ = [
@@ -51,7 +59,7 @@ __all__ = [
     "recompute_rates_all_scalar",
     "advance_scalar",
     "next_completion_time_scalar",
-    "due_entries_scalar",
+    "neighbor_topology_rebuild",
     "run_until_per_event",
     "oracle_mode",
     "eager_integration",
@@ -168,9 +176,87 @@ def next_completion_time_scalar(swarm: "Swarm") -> float:
     return swarm.last_update + eta
 
 
-def due_entries_scalar(swarm: "Swarm", slack: float) -> "list[DownloadEntry]":
-    """Full-scan equivalent of :meth:`Swarm.due_entries`."""
-    return [e for e in swarm.downloaders.values() if e.remaining <= slack]
+def neighbor_topology_rebuild(swarm: "Swarm"):
+    """Full rebuild of :meth:`Swarm._neighbor_topology` from the samples.
+
+    Flattens every tracker sample into one ``(src, dst)`` edge array,
+    maps ids to store slots and seed rows with ``searchsorted`` and builds
+    the adjacency and seed-reach matrices from scratch -- O(edges + n^2)
+    per call.  Returns the same ``(has_partner, connectivity, bandwidth,
+    virtual_vec)`` tuple as the live gather
+    (:meth:`repro.sim.topology.TopoState.products`), array for array.
+    Counts ``sim.kernel.neighbor.full`` and ``.peers``.
+    """
+    neighbors = swarm.neighbors
+    store = swarm.store
+    n = store.n
+    user_ids = store.column("user_id")
+    reg = current_registry()
+    if reg.enabled:
+        reg.inc("sim.kernel.neighbor.full")
+        reg.inc("sim.kernel.neighbor.peers", n)
+    if neighbors:
+        keys = np.fromiter(neighbors.keys(), dtype=np.int64, count=len(neighbors))
+        degrees = np.fromiter(
+            (len(s) for s in neighbors.values()), dtype=np.int64, count=len(neighbors)
+        )
+        dst = np.fromiter(
+            (u for s in neighbors.values() for u in s),
+            dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        src = np.repeat(keys, degrees)
+    else:
+        src = dst = np.empty(0, dtype=np.int64)
+
+    def lookup(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Position of each id in ``sorted_ids`` (-1 when absent)."""
+        if not sorted_ids.size:
+            return np.full(ids.size, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+        return np.where(sorted_ids[pos] == ids, pos, -1)
+
+    slot_order = np.argsort(user_ids, kind="stable")
+    sorted_ids = user_ids[slot_order]
+
+    def to_slot(ids: np.ndarray) -> np.ndarray:
+        """Downloader slot of each user id (-1 when not a downloader)."""
+        pos = lookup(sorted_ids, ids)
+        return np.where(pos >= 0, slot_order[pos], -1) if n else pos
+
+    src_slot = to_slot(src)
+    dst_slot = to_slot(dst)
+
+    adjacency = np.zeros((n, n), dtype=bool)
+    both = (src_slot >= 0) & (dst_slot >= 0)
+    adjacency[src_slot[both], dst_slot[both]] = True
+    adjacency |= adjacency.T
+    np.fill_diagonal(adjacency, False)
+    has_partner = adjacency.any(axis=1)
+
+    seeds = [
+        (seed_user, bw, virtual)
+        for virtual, table in ((True, swarm.virtual_seeds), (False, swarm.real_seeds))
+        for seed_user, (bw, _) in table.items()
+        if bw > 0
+    ]
+    if not seeds:
+        return has_partner, None, None, None
+    # reach rows are per seed *user*: a user may hold a virtual and a real
+    # seed at once, and both allocations reach the same downloaders
+    unique_ids = np.array(sorted({s for s, _, _ in seeds}), dtype=np.int64)
+    reach = np.zeros((unique_ids.size, n))
+    seed_of_dst = lookup(unique_ids, dst)  # a downloader sampled the seed
+    hit = (src_slot >= 0) & (seed_of_dst >= 0)
+    reach[seed_of_dst[hit], src_slot[hit]] = 1.0
+    seed_of_src = lookup(unique_ids, src)  # the seed sampled a downloader
+    hit = (seed_of_src >= 0) & (dst_slot >= 0)
+    reach[seed_of_src[hit], dst_slot[hit]] = 1.0
+    rows = np.searchsorted(unique_ids, [s for s, _, _ in seeds])
+    connectivity = reach[rows]
+    bandwidth = np.array([bw for _, bw, _ in seeds])
+    virtual_vec = np.array([float(v) for *_, v in seeds])
+    return has_partner, connectivity, bandwidth, virtual_vec
 
 
 def run_until_per_event(
@@ -209,11 +295,6 @@ def _decline(*_args, **_kwargs) -> bool:
     return False
 
 
-def _no_topology_state(*_args) -> None:
-    """Stand-in for ``_TopoState``: nothing maintained, rebuild every epoch."""
-    return None
-
-
 def _no_window(*_args) -> None:
     """Stand-in for ``SimulationSystem._start_window``: never defer."""
 
@@ -238,15 +319,16 @@ def oracle_mode() -> "contextlib.AbstractContextManager[None]":
     * :meth:`Swarm.recompute_rates_incremental` and
       :meth:`SwarmGroup.recompute_rates_all_incremental` decline, so every
       flush runs the full kernels;
-    * ``repro.sim.swarm._TopoState`` builds nothing, so tracker-limited
-      swarms rebuild their neighbour topology from the tracker samples on
-      every epoch.
+    * :meth:`Swarm._neighbor_topology` becomes
+      :func:`neighbor_topology_rebuild`, so tracker-limited swarms rebuild
+      their neighbour topology from the tracker samples on every epoch
+      (the live topology is still kept in step, but never read).
     """
     return _patched(
         (Simulator, "run_until", run_until_per_event),
         (swarm_module.Swarm, "recompute_rates_incremental", _decline),
         (swarm_module.SwarmGroup, "recompute_rates_all_incremental", _decline),
-        (swarm_module, "_TopoState", _no_topology_state),
+        (swarm_module.Swarm, "_neighbor_topology", neighbor_topology_rebuild),
     )
 
 

@@ -38,10 +38,15 @@ Per-peer numeric state lives in a structure-of-arrays
 :class:`~repro.sim.peerstore.PeerStore` per swarm, so every kernel here --
 rate recomputation, progress advancement, completion queries -- is a
 handful of NumPy array operations rather than a Python loop over entries.
-The neighbour-aware path builds a boolean adjacency matrix from the
-tracker samples and allocates seed bandwidth with one matrix product.  The
-original per-entry loops survive verbatim in :mod:`repro.sim.reference` as
-the oracle the vectorised kernels are tested against.
+A tracker-limited (neighbour-aware) swarm keeps its boolean adjacency
+and seed-reach matrices live in :mod:`repro.sim.topology` from the moment
+it becomes neighbour-aware, gathers them once per rate epoch and allocates
+seed bandwidth with one matrix product.  The tracker samples are read-only
+outside :meth:`Swarm.set_neighbor_sample` and
+:meth:`Swarm.drop_neighbor_sample`, so the live topology cannot fall out
+of step.  The original per-entry loops and the full topology rebuild
+survive in :mod:`repro.sim.reference` as the oracles these kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -57,6 +63,7 @@ from repro.obs import current_registry
 from repro.sim.bandwidth import RateWindow
 from repro.sim.entities import DownloadEntry, UserRecord
 from repro.sim.peerstore import PeerStore
+from repro.sim.topology import TopoState
 
 __all__ = [
     "SCALAR_KERNEL_CUTOFF",
@@ -93,58 +100,7 @@ class SeedPolicy(enum.Enum):
     GLOBAL_POOL = "global_pool"
 
 
-class _VersionedDict(dict):
-    """Dict that counts its mutations, so kernels can cache derived state.
-
-    The neighbour-aware kernel derives adjacency/connectivity matrices from
-    the tracker samples and seed tables; rebuilding them is the expensive
-    part, so it keys a cache on these version counters.  Values must be
-    *replaced*, never mutated in place (the tracker always assigns fresh
-    sets) -- in-place value mutation is invisible to the counter.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.version = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.version += 1
-
-    def __delitem__(self, key):
-        super().__delitem__(key)
-        self.version += 1
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self.version += 1
-        return result
-
-    def popitem(self):
-        result = super().popitem()
-        self.version += 1
-        return result
-
-    def clear(self):
-        super().clear()
-        self.version += 1
-
-    def update(self, *args, **kwargs):
-        super().update(*args, **kwargs)
-        self.version += 1
-
-    def setdefault(self, key, default=None):
-        # Only an actual insert is a mutation: a read-through setdefault on
-        # a present key must not invalidate caches keyed on ``version``.
-        if key in self:
-            return self[key]
-        self.version += 1
-        return super().setdefault(key, default)
-
-
-class _SeedTable(_VersionedDict):
+class _SeedTable(dict):
     """Seed table ``user_id -> (bandwidth, user_class)`` with a running total.
 
     Every rate recompute needs the aggregate seed capacity; summing the
@@ -198,113 +154,6 @@ class _SeedTable(_VersionedDict):
         if key not in self:
             self.total += default[0]
         return super().setdefault(key, default)
-
-
-class _TopoState:
-    """Incrementally maintained neighbour-topology matrices for one swarm.
-
-    The full :meth:`Swarm._neighbor_topology` rebuild flattens every
-    tracker sample and reconstructs the boolean adjacency and the
-    seed-reach matrix from scratch -- O(edges + n^2) per structural
-    change, which dominates tracker-limited runs (every join, leave and
-    seed transition is a structural change).  This state keeps those
-    matrices *live* instead: each mutation updates the affected row and
-    column in O(degree) (or one vectorised row/column copy), keyed to the
-    same version counters the product cache uses.
-
-    Invariants:
-
-    * ``adj[:n, :n]`` equals the full rebuild's symmetrised, zero-diagonal
-      adjacency; everything outside that block is ``False``.
-    * ``conn[i, :n]`` for ``i < len(row_users)`` equals the full rebuild's
-      reach row of seed user ``row_users[i]`` (one row per seed *user*,
-      bandwidth filtering happens at gather time); rows/columns beyond the
-      used block are ``0.0``.
-    * ``rev[v]`` is the set of users whose sample contains ``v`` (the
-      reverse of the tracker-sample dict), so ``connected(u, v)`` is
-      equivalent to ``v in neighbors[u] or v in rev_entry`` lookups in
-      O(1) without scanning the population.
-    * ``versions`` is what the four tracked version counters *should* read
-      if every mutation since the last sync was journalled through the
-      notify hooks.  Any direct mutation (tests poke the dicts) makes the
-      real counters run ahead; the mismatch is detected at the next hook
-      or gather and the state is dropped -- correctness never depends on
-      callers using the hooks.
-    """
-
-    __slots__ = (
-        "versions",
-        "slot_user",
-        "slot_of",
-        "adj",
-        "conn",
-        "seed_rows",
-        "row_users",
-        "rev",
-        "prod",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        adjacency: "np.ndarray | None",
-        user_ids: np.ndarray,
-        seed_ids: "np.ndarray | None",
-        reach: "np.ndarray | None",
-        neighbors: Mapping[int, set],
-        versions: tuple,
-    ):
-        cap = 16
-        while cap < n:
-            cap *= 2
-        self.adj = np.zeros((cap, cap), dtype=bool)
-        if n:
-            self.adj[:n, :n] = adjacency
-        self.slot_user = [int(u) for u in user_ids[:n]]
-        self.slot_of = {u: i for i, u in enumerate(self.slot_user)}
-        n_rows = 0 if seed_ids is None else int(seed_ids.size)
-        row_cap = 8
-        while row_cap < n_rows:
-            row_cap *= 2
-        self.conn = np.zeros((row_cap, cap))
-        self.row_users = [] if seed_ids is None else [int(u) for u in seed_ids]
-        self.seed_rows = {u: i for i, u in enumerate(self.row_users)}
-        if n_rows:
-            self.conn[:n_rows, :n] = reach
-        rev: dict[int, set] = {}
-        for u, sample in neighbors.items():
-            for v in sample:
-                rev.setdefault(v, set()).add(u)
-        self.rev = rev
-        #: seed-side gather plan -- ``(seed_versions, rows, bandwidth,
-        #: virtual_vec)`` -- cached across gathers because membership and
-        #: samples churn far faster than the seed tables (see
-        #: :meth:`Swarm._topo_products`)
-        self.prod: tuple | None = None
-        self.versions = list(versions)
-
-    def grow_slots(self, n: int) -> None:
-        """Double the slot capacity until ``n`` downloaders fit."""
-        cap = self.adj.shape[0]
-        new_cap = cap
-        while new_cap < n:
-            new_cap *= 2
-        adj = np.zeros((new_cap, new_cap), dtype=bool)
-        adj[:cap, :cap] = self.adj
-        self.adj = adj
-        conn = np.zeros((self.conn.shape[0], new_cap))
-        conn[:, :cap] = self.conn
-        self.conn = conn
-
-    def grow_rows(self, rows: int) -> None:
-        """Double the seed-row capacity until ``rows`` rows fit."""
-        cap = self.conn.shape[0]
-        new_cap = cap
-        while new_cap < rows:
-            new_cap *= 2
-        conn = np.zeros((new_cap, self.conn.shape[1]))
-        conn[:cap] = self.conn
-        self.conn = conn
 
 
 @dataclass(frozen=True)
@@ -377,7 +226,7 @@ class _RateDomain:
     #: deferred-integration window governing every member's rows
     win: RateWindow
     #: when True, rates only flow along neighbour connections (only a
-    #: tracker-limited :class:`Swarm` sets it; it leaves the share kernel)
+    #: tracker-limited :class:`Swarm` can be; it leaves the share kernel)
     neighbor_aware = False
 
     def _versions(self) -> list[int]:
@@ -550,6 +399,14 @@ class _RateDomain:
             reg.inc(f"sim.kernel.{self._KERNEL}.incremental")
             reg.inc(f"sim.kernel.{self._KERNEL}.rows", rows)
         return True
+
+    def _count_full_reason(self, incremental: bool) -> None:
+        """Count why ``_recompute`` runs a full share pass: membership moved
+        (the caller ruled the refresh out) or the share cache was stale."""
+        reg = current_registry()
+        if reg.enabled:
+            reason = "stale_cache" if incremental else "membership"
+            reg.inc(f"sim.kernel.{self._KERNEL}.full_reason.{reason}")
 
     # ----- deferred integration ------------------------------------------------------
     #
@@ -790,15 +647,14 @@ class Swarm(_RateDomain):
         #: bumped whenever rates change; completion events carry the epoch
         #: they were planned under so stale ones can be recognised
         self.epoch = 0
-        #: tracker-sampled neighbour sets per user (empty dict = full mesh)
-        self._neighbors: _VersionedDict = _VersionedDict()
-        #: (versions) -> topology-derived kernel state; see
-        #: :meth:`_neighbor_topology`
-        self._topology_cache: tuple | None = None
-        #: incrementally maintained adjacency / seed-reach matrices (built
-        #: lazily by the first full topology rebuild); ``None`` until then
-        #: or after a structural desync
-        self._topo_state: _TopoState | None = None
+        #: tracker-sampled neighbour sets per user (empty dict = full mesh);
+        #: read through :attr:`neighbors`, written only by
+        #: :meth:`set_neighbor_sample` / :meth:`drop_neighbor_sample`
+        self._neighbors: dict[int, frozenset[int]] = {}
+        self._neighbors_view = MappingProxyType(self._neighbors)
+        #: live adjacency / seed-reach matrices while neighbour-aware (see
+        #: :mod:`repro.sim.topology`), else ``None``
+        self._topo: TopoState | None = None
         #: a SUBTORRENT domain's only member is the swarm itself
         self._members = (self,)
         self._share_cache = None
@@ -818,16 +674,33 @@ class Swarm(_RateDomain):
         return self
 
     @property
-    def neighbors(self) -> dict[int, set[int]]:
-        return self._neighbors
+    def neighbors(self) -> Mapping[int, frozenset[int]]:
+        """Read-only view of the tracker samples (see
+        :meth:`set_neighbor_sample`)."""
+        return self._neighbors_view
 
-    @neighbors.setter
-    def neighbors(self, value: Mapping[int, set[int]]) -> None:
-        # wholesale replacement (tests, scenario setup) gets a fresh counter;
-        # the fresh counter restarts at 0, which could collide with the
-        # incremental state's expected versions, so drop the state outright
-        self._neighbors = _VersionedDict(value)
-        self._topo_state = None
+    @property
+    def neighbor_aware(self) -> bool:
+        """Whether rates flow only along neighbour connections.
+
+        Switching it on creates the swarm's live topology, so it must
+        happen while the swarm is still empty: every later join, leave,
+        sample and seed change keeps the topology in step.
+        """
+        return self._topo is not None
+
+    @neighbor_aware.setter
+    def neighbor_aware(self, value: bool) -> None:
+        if not value:
+            self._topo = None
+        elif self._topo is None:
+            if self.downloaders or self.virtual_seeds or self.real_seeds or self._neighbors:
+                raise ValueError(
+                    f"swarm {self.file_id} must be empty when it becomes neighbour-aware"
+                )
+            self._topo = TopoState(
+                self.store, self._neighbors, self.virtual_seeds, self.real_seeds
+            )
 
     # ----- membership (store + dict kept in lockstep) ---------------------------
 
@@ -835,16 +708,16 @@ class Swarm(_RateDomain):
         """Insert an entry: dict membership plus a store row, atomically."""
         self.downloaders[(entry.user_id, entry.file_id)] = entry
         self.store.attach(entry)
-        if self._topo_state is not None:
-            self._topo_join(entry.user_id)
+        if self._topo is not None:
+            self._topo.join(entry.user_id)
 
     def pop_entry(self, key: tuple[int, int]) -> DownloadEntry:
         """Remove and detach an entry (raises ``KeyError`` when absent)."""
         entry = self.downloaders.pop(key)
         slot = entry._slot
         self.store.detach(entry)
-        if self._topo_state is not None:
-            self._topo_leave(key[0], slot)
+        if self._topo is not None:
+            self._topo.leave(key[0], slot)
         return entry
 
     @property
@@ -968,210 +841,21 @@ class Swarm(_RateDomain):
     def connected(self, a: int, b: int) -> bool:
         """Whether users ``a`` and ``b`` hold a connection (either sampled
         the other from the tracker; BitTorrent connections are mutual)."""
-        return b in self.neighbors.get(a, ()) or a in self.neighbors.get(b, ())
+        return b in self._neighbors.get(a, ()) or a in self._neighbors.get(b, ())
 
-    # ----- incremental neighbour-topology maintenance ---------------------------
-    #
-    # Each hook journals one mutation into ``_topo_state`` (when it exists)
-    # so the next :meth:`_neighbor_topology` call can serve the adjacency /
-    # seed-reach matrices by gathering instead of rebuilding.  Hooks run
-    # *after* the underlying mutation; ``_topo_note`` advances the expected
-    # version by the mutation's known delta and verifies the real counters
-    # agree -- any unjournalled mutation desyncs the check and drops the
-    # state, falling back to a full rebuild.
-
-    def set_neighbor_sample(self, user_id: int, sample: set) -> None:
+    def set_neighbor_sample(self, user_id: int, sample) -> None:
         """Install a user's tracker sample (replaces any previous one)."""
-        state = self._topo_state
-        old = self._neighbors.get(user_id) if state is not None else None
+        sample = frozenset(sample)
+        old = self._neighbors.get(user_id, ())
         self._neighbors[user_id] = sample
-        state = self._topo_note(0)
-        if state is not None:
-            self._topo_sample_changed(state, user_id, old or (), sample)
+        if self._topo is not None:
+            self._topo.sample_changed(user_id, old, sample)
 
     def drop_neighbor_sample(self, user_id: int) -> None:
         """Remove a user's tracker sample (raises ``KeyError`` when absent)."""
-        state = self._topo_state
-        old = self._neighbors.get(user_id) if state is not None else None
-        del self._neighbors[user_id]
-        state = self._topo_note(0)
-        if state is not None:
-            self._topo_sample_changed(state, user_id, old or (), ())
-
-    def _topo_note(self, index: int) -> "_TopoState | None":
-        """Advance one expected version component; drop the state on desync."""
-        state = self._topo_state
-        if state is None:
-            return None
-        versions = state.versions
-        versions[index] += 1
-        if (
-            self._neighbors.version != versions[0]
-            or self.store.version != versions[1]
-            or self.virtual_seeds.version != versions[2]
-            or self.real_seeds.version != versions[3]
-        ):
-            self._topo_state = None
-            return None
-        return state
-
-    def _topo_partners(self, state: _TopoState, user_id: int):
-        """Users connected to ``user_id``: sampled by it or sampling it."""
-        mine = self._neighbors.get(user_id)
-        back = state.rev.get(user_id)
-        if mine and back:
-            return mine | back
-        return mine or back or ()
-
-    def _topo_join(self, user_id: int) -> None:
-        """A downloader attached at the store's last slot."""
-        state = self._topo_note(1)
-        if state is None:
-            return
-        n = self.store.n  # already includes the fresh row
-        slot = n - 1
-        if n > state.adj.shape[0]:
-            state.grow_slots(n)
-        state.slot_user.append(user_id)
-        state.slot_of[user_id] = slot
-        adj = state.adj
-        conn = state.conn
-        slot_of = state.slot_of
-        seed_rows = state.seed_rows
-        for v in self._topo_partners(state, user_id):
-            w_slot = slot_of.get(v)
-            if w_slot is not None and w_slot != slot:
-                adj[slot, w_slot] = True
-                adj[w_slot, slot] = True
-            row = seed_rows.get(v)
-            if row is not None:
-                conn[row, slot] = 1.0
-        reg = current_registry()
-        if reg.enabled:
-            reg.inc("sim.kernel.neighbor.rows")
-
-    def _topo_leave(self, user_id: int, slot: int) -> None:
-        """A downloader detached; the store swap-filled its slot."""
-        state = self._topo_note(1)
-        if state is None:
-            return
-        n_old = self.store.n + 1  # the store already dropped the row
-        last = n_old - 1
-        adj = state.adj
-        conn = state.conn
-        slot_user = state.slot_user
-        if slot != last:
-            moved = slot_user[last]
-            slot_user[slot] = moved
-            state.slot_of[moved] = slot
-            adj[slot, :n_old] = adj[last, :n_old]
-            adj[:n_old, slot] = adj[:n_old, last]
-            adj[slot, slot] = False
-            conn[:, slot] = conn[:, last]
-        slot_user.pop()
-        del state.slot_of[user_id]
-        adj[last, :n_old] = False
-        adj[:n_old, last] = False
-        conn[:, last] = 0.0
-        reg = current_registry()
-        if reg.enabled:
-            reg.inc("sim.kernel.neighbor.rows")
-
-    def _topo_sample_changed(
-        self, state: _TopoState, user_id: int, old, new
-    ) -> None:
-        """Re-derive the edges whose sample endpoint changed (O(degree))."""
-        rev = state.rev
-        for v in old:
-            if v not in new:
-                back = rev.get(v)
-                if back is not None:
-                    back.discard(user_id)
-        for v in new:
-            if v not in old:
-                rev.setdefault(v, set()).add(user_id)
-        neighbors = self._neighbors
-        slot_of = state.slot_of
-        seed_rows = state.seed_rows
-        slot_u = slot_of.get(user_id)
-        row_u = seed_rows.get(user_id)
-        adj = state.adj
-        conn = state.conn
-        changed = set(old) ^ set(new)
-        for v in changed:
-            linked = (v in new) or (user_id in neighbors.get(v, ()))
-            if v == user_id:
-                # a self-loop sample only ever shows up in the seed reach
-                # (the adjacency diagonal is cleared by construction)
-                if row_u is not None and slot_u is not None:
-                    conn[row_u, slot_u] = 1.0 if linked else 0.0
-                continue
-            slot_v = slot_of.get(v)
-            if slot_v is not None:
-                if slot_u is not None:
-                    adj[slot_u, slot_v] = linked
-                    adj[slot_v, slot_u] = linked
-                if row_u is not None:
-                    conn[row_u, slot_v] = 1.0 if linked else 0.0
-            if slot_u is not None:
-                row_v = seed_rows.get(v)
-                if row_v is not None:
-                    conn[row_v, slot_u] = 1.0 if linked else 0.0
-        reg = current_registry()
-        if reg.enabled:
-            reg.inc("sim.kernel.neighbor.rows")
-
-    def _topo_seed_added(self, user_id: int, virtual: bool) -> None:
-        """A seed allocation appeared; ensure the user has a reach row."""
-        state = self._topo_note(2 if virtual else 3)
-        if state is None:
-            return
-        if user_id in state.seed_rows:
-            return  # the other table already gave this user a row
-        row = len(state.row_users)
-        if row >= state.conn.shape[0]:
-            state.grow_rows(row + 1)
-        state.row_users.append(user_id)
-        state.seed_rows[user_id] = row
-        conn = state.conn
-        slot_of = state.slot_of
-        for v in self._topo_partners(state, user_id):
-            w_slot = slot_of.get(v)
-            if w_slot is not None:
-                conn[row, w_slot] = 1.0
-        reg = current_registry()
-        if reg.enabled:
-            reg.inc("sim.kernel.neighbor.rows")
-
-    def _topo_seed_removed(self, user_id: int, virtual: bool) -> None:
-        """A seed allocation left; drop the reach row when none remain."""
-        state = self._topo_note(2 if virtual else 3)
-        if state is None:
-            return
-        if user_id in self.virtual_seeds or user_id in self.real_seeds:
-            return  # still holds the other allocation: the row stays
-        row = state.seed_rows.pop(user_id, None)
-        if row is None:
-            return
-        row_users = state.row_users
-        last = len(row_users) - 1
-        conn = state.conn
-        if row != last:
-            moved = row_users[last]
-            row_users[row] = moved
-            state.seed_rows[moved] = row
-            conn[row] = conn[last]
-        row_users.pop()
-        conn[last] = 0.0
-        reg = current_registry()
-        if reg.enabled:
-            reg.inc("sim.kernel.neighbor.rows")
-
-    def _topo_seed_updated(self, user_id: int, virtual: bool) -> None:
-        """A seed's bandwidth changed in place: reach rows are unaffected
-        (bandwidth enters at gather time), only the version advances."""
-        del user_id
-        self._topo_note(2 if virtual else 3)
+        old = self._neighbors.pop(user_id)
+        if self._topo is not None:
+            self._topo.sample_changed(user_id, old, ())
 
     def recompute_rates(self, eta: float) -> None:
         """Refresh entry rates from swarm-local allocations (full kernel).
@@ -1181,8 +865,6 @@ class Swarm(_RateDomain):
         flows (see :meth:`_recompute_rates_neighbor_aware`).
         """
         if self.neighbor_aware:
-            # full-vs-incremental accounting happens inside
-            # _neighbor_topology, which knows whether it rebuilt or gathered
             self.epoch += 1
             self._recompute_rates_neighbor_aware(eta)
             return
@@ -1193,16 +875,19 @@ class Swarm(_RateDomain):
     ) -> bool:
         """Refresh rates from the cached capacity shares (see
         :meth:`_share_refresh`); ``False`` on a cache miss or under
-        neighbour-aware allocation, whose topology products have their own
-        cache.  :meth:`recompute_rates` is the oracle this must match."""
+        neighbour-aware allocation, which gathers from its live topology
+        instead.  :meth:`recompute_rates` is the oracle this must match."""
         if self.neighbor_aware:
             return False
         return self._share_refresh(eta, entries)
 
     def _recompute(self, eta: float, entries=None, *, incremental=True) -> None:
         """Incremental refresh when allowed and valid, else the full kernel."""
-        if not (incremental and self.recompute_rates_incremental(eta, entries)):
-            self.recompute_rates(eta)
+        if incremental and self.recompute_rates_incremental(eta, entries):
+            return
+        if not self.neighbor_aware:
+            self._count_full_reason(incremental)
+        self.recompute_rates(eta)
 
     def _recompute_rates_neighbor_aware(self, eta: float) -> None:
         """Bounded-connectivity allocation as adjacency matrix + matmul.
@@ -1245,196 +930,9 @@ class Swarm(_RateDomain):
         store.rate_from_virtual[:n] = rate_from_virtual
 
     def _neighbor_topology(self):
-        """Topology-derived kernel state, cached across unchanged epochs.
-
-        Returns ``(has_partner, connectivity, bandwidth, virtual_vec)``:
-        which downloaders have a connected downloader partner, the
-        seed-allocation x downloader-slot connectivity matrix (``None``
-        when no seed has positive bandwidth), per-allocation bandwidths
-        and a 0/1 virtual-allocation indicator.
-
-        Everything here depends only on membership (store slots), the
-        tracker samples and the seed tables -- not on capacities or
-        progress -- so it is cached and rebuilt only when one of those
-        version counters moves.  Between full rebuilds the incrementally
-        maintained ``_topo_state`` (see :class:`_TopoState`) serves a
-        changed topology by *gathering* from its live matrices -- O(n)
-        row slices instead of the O(edges + n^2) reconstruction -- so a
-        full rebuild only happens when the state was desynced by a direct
-        (unjournalled) mutation.
-
-        Counters: ``sim.kernel.neighbor.incremental`` counts product-cache
-        hits and state gathers, ``sim.kernel.neighbor.full`` /
-        ``sim.kernel.neighbor.peers`` count full rebuilds and the rows
-        they touched, ``sim.kernel.neighbor.rows`` (incremented by the
-        notify hooks) counts O(degree) state maintenance operations.
-        """
-        neighbors = self._neighbors
-        versions = (
-            neighbors.version,
-            self.store.version,
-            self.virtual_seeds.version,
-            self.real_seeds.version,
-        )
-        reg = current_registry()
-        if self._topology_cache is not None and self._topology_cache[0] == versions:
-            if reg.enabled:
-                reg.inc("sim.kernel.neighbor.incremental")
-            return self._topology_cache[1]
-
-        state = self._topo_state
-        if state is not None:
-            if tuple(state.versions) == versions:
-                topology = self._topo_products(state)
-                if topology is not None:
-                    self._topology_cache = (versions, topology)
-                    if reg.enabled:
-                        reg.inc("sim.kernel.neighbor.incremental")
-                    return topology
-            # desynced (direct mutation) or internally inconsistent: rebuild
-            self._topo_state = None
-
-        store = self.store
-        n = store.n
-        user_ids = store.column("user_id")
-        if reg.enabled:
-            reg.inc("sim.kernel.neighbor.full")
-            reg.inc("sim.kernel.neighbor.peers", n)
-
-        # Flatten the tracker samples into one (src, dst) edge array; all
-        # subsequent id -> slot mapping is vectorised (searchsorted), which
-        # is what keeps this kernel ahead of the scalar loop -- per-edge
-        # Python dict lookups would dominate the matmul.
-        if neighbors:
-            keys = np.fromiter(neighbors.keys(), dtype=np.int64, count=len(neighbors))
-            degrees = np.fromiter(
-                (len(s) for s in neighbors.values()),
-                dtype=np.int64,
-                count=len(neighbors),
-            )
-            n_edges = int(degrees.sum())
-            dst = np.fromiter(
-                (u for s in neighbors.values() for u in s),
-                dtype=np.int64,
-                count=n_edges,
-            )
-            src = np.repeat(keys, degrees)
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-
-        slot_order = np.argsort(user_ids, kind="stable")
-        sorted_ids = user_ids[slot_order]
-
-        def to_slot(ids: np.ndarray) -> np.ndarray:
-            """Downloader slot of each user id (-1 when not a downloader)."""
-            pos = np.minimum(np.searchsorted(sorted_ids, ids), n - 1)
-            return np.where(sorted_ids[pos] == ids, slot_order[pos], -1)
-
-        src_slot = to_slot(src)
-        dst_slot = to_slot(dst)
-
-        adjacency = np.zeros((n, n), dtype=bool)
-        both = (src_slot >= 0) & (dst_slot >= 0)
-        adjacency[src_slot[both], dst_slot[both]] = True
-        adjacency |= adjacency.T
-        np.fill_diagonal(adjacency, False)
-        has_partner = adjacency.any(axis=1)
-
-        seeds = [
-            (seed_user, bw, virtual)
-            for virtual, table in ((True, self.virtual_seeds), (False, self.real_seeds))
-            for seed_user, (bw, _) in table.items()
-            if bw > 0
-        ]
-        # Connection rows are per seed *user* (a user may hold a virtual
-        # and a real seed at once) and are built for every seed user --
-        # zero-bandwidth allocations included -- so the reconstructed
-        # incremental state stays valid when a bandwidth later turns
-        # positive.  Only positive-bandwidth rows enter the product.
-        seed_users = sorted(set(self.virtual_seeds) | set(self.real_seeds))
-        if seed_users:
-            unique_ids = np.array(seed_users, dtype=np.int64)
-
-            def to_seed_row(ids: np.ndarray) -> np.ndarray:
-                if ids.size == 0:
-                    return np.empty(0, dtype=np.int64)
-                pos = np.minimum(
-                    np.searchsorted(unique_ids, ids), unique_ids.size - 1
-                )
-                return np.where(unique_ids[pos] == ids, pos, -1)
-
-            reach = np.zeros((unique_ids.size, n))
-            # downloader sampled the seed (src is a slot, dst is a seed)
-            seed_of_dst = to_seed_row(dst)
-            hit = (src_slot >= 0) & (seed_of_dst >= 0)
-            reach[seed_of_dst[hit], src_slot[hit]] = 1.0
-            # seed sampled the downloader (src is a seed, dst is a slot)
-            seed_of_src = to_seed_row(src)
-            hit = (seed_of_src >= 0) & (dst_slot >= 0)
-            reach[seed_of_src[hit], dst_slot[hit]] = 1.0
-        else:
-            unique_ids = reach = None
-        if seeds:
-            seed_ids = np.array([s for s, _, _ in seeds], dtype=np.int64)
-            rows = np.searchsorted(unique_ids, seed_ids)
-            connectivity = reach[rows]
-            bandwidth = np.array([bw for _, bw, _ in seeds])
-            virtual_vec = np.array([float(v) for *_, v in seeds])
-        else:
-            connectivity = bandwidth = virtual_vec = None
-
-        self._topo_state = _TopoState(
-            n, adjacency, user_ids, unique_ids, reach, neighbors, versions
-        )
-
-        topology = (has_partner, connectivity, bandwidth, virtual_vec)
-        self._topology_cache = (versions, topology)
-        return topology
-
-    def _topo_products(self, state: "_TopoState"):
-        """Gather the topology tuple from the live incremental state.
-
-        Returns ``None`` when the state turns out internally inconsistent
-        (a seed allocation without a reach row), signalling the caller to
-        fall back to a full rebuild.  The gathered arrays are bit-exact
-        matches of the full rebuild's: boolean any() over the same
-        adjacency block, and a fancy-indexed (fresh, C-contiguous) copy
-        of the same reach rows.
-        """
-        n = self.store.n
-        has_partner = state.adj[:n, :n].any(axis=1)
-        seed_versions = (state.versions[2], state.versions[3])
-        prod = state.prod
-        if prod is None or prod[0] != seed_versions:
-            # the seed-side plan (which rows enter the product, at what
-            # bandwidth) only moves with the seed tables, which churn far
-            # slower than membership/samples -- rebuild it lazily
-            seeds = [
-                (seed_user, bw, virtual)
-                for virtual, table in (
-                    (True, self.virtual_seeds),
-                    (False, self.real_seeds),
-                )
-                for seed_user, (bw, _) in table.items()
-                if bw > 0
-            ]
-            if seeds:
-                seed_rows = state.seed_rows
-                try:
-                    rows = [seed_rows[s] for s, _, _ in seeds]
-                except KeyError:
-                    return None
-                bandwidth = np.array([bw for _, bw, _ in seeds])
-                virtual_vec = np.array([float(v) for *_, v in seeds])
-            else:
-                rows = bandwidth = virtual_vec = None
-            prod = state.prod = (seed_versions, rows, bandwidth, virtual_vec)
-        _, rows, bandwidth, virtual_vec = prod
-        if rows is not None:
-            connectivity = state.conn[:, :n][rows]
-        else:
-            connectivity = None
-        return (has_partner, connectivity, bandwidth, virtual_vec)
+        """The kernel's topology inputs, gathered from the live state (see
+        :meth:`repro.sim.topology.TopoState.products`)."""
+        return self._topo.products()
 
     # ----- completion queries (one shared snapshot) -----------------------------
 
@@ -1483,16 +981,6 @@ class Swarm(_RateDomain):
         if eta_min <= 0.0 or bool((remaining <= 0.0).any()):
             return self.last_update
         return self.last_update + eta_min
-
-    def due_entries(self, slack: float) -> list[DownloadEntry]:
-        store = self.store
-        n = store.n
-        if n <= SCALAR_KERNEL_CUTOFF:
-            remaining = store.remaining[:n].tolist()
-            entries = store.entries
-            return [entries[i] for i in range(n) if remaining[i] <= slack]
-        remaining = store.remaining[:n]
-        return [store.entries[i] for i in np.flatnonzero(remaining <= slack)]
 
 
 def _win_due(
@@ -1733,8 +1221,8 @@ class SwarmGroup(_RateDomain):
                 f"seed on file {file_id}"
             )
         table[user_id] = (bandwidth, user_class)
-        if swarm._topo_state is not None:
-            swarm._topo_seed_added(user_id, virtual)
+        if swarm._topo is not None:
+            swarm._topo.seed_added(user_id)
         if virtual:
             # upload accounting starts now, not at swarm creation
             swarm._virtual_anchor[user_id] = swarm.virtual_busy_time
@@ -1754,8 +1242,8 @@ class SwarmGroup(_RateDomain):
                 f"user {user_id} has no {'virtual' if virtual else 'real'} seed "
                 f"on file {file_id}"
             ) from None
-        if swarm._topo_state is not None:
-            swarm._topo_seed_removed(user_id, virtual)
+        if swarm._topo is not None:
+            swarm._topo.seed_removed(user_id)
         return bw
 
     def set_seed_bandwidth(
@@ -1773,8 +1261,8 @@ class SwarmGroup(_RateDomain):
             swarm.settle_virtual_seed(user_id, self.records)
         _, klass = table[user_id]
         table[user_id] = (bandwidth, klass)
-        if swarm._topo_state is not None:
-            swarm._topo_seed_updated(user_id, virtual)
+        if swarm._topo is not None:
+            swarm._topo.seed_changed()
 
     # ----- queries --------------------------------------------------------------
 
@@ -1829,8 +1317,10 @@ class SwarmGroup(_RateDomain):
         """Incremental refresh when allowed and valid, else the full kernel
         (``eta`` is the group's own)."""
         del eta
-        if not (incremental and self.recompute_rates_all_incremental(entries)):
-            self.recompute_rates_all()
+        if incremental and self.recompute_rates_all_incremental(entries):
+            return
+        self._count_full_reason(incremental)
+        self.recompute_rates_all()
 
     def next_completion_time(self) -> float:
         """Earliest completion over the whole group (``inf`` if none)."""

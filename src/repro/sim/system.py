@@ -272,7 +272,7 @@ class SimulationSystem:
         sample = self.tracker.announce(
             user_id, file_id, AnnounceEvent.STARTED, is_seeder=is_seeder
         )
-        swarm.set_neighbor_sample(user_id, set(sample))
+        swarm.set_neighbor_sample(user_id, sample)
 
     def _tracker_leave_if_absent(self, file_id: int, user_id: int) -> None:
         if self.tracker is None:
@@ -552,6 +552,28 @@ class SimulationSystem:
             due = [entry]
         self._complete_entries(domain, due)
 
+    def _file_completed(self, entry: DownloadEntry) -> None:
+        """Book one detached entry's completion: its span and record, the
+        trace, the behaviour callback and the tracker's view."""
+        now = self.now
+        self.metrics.record_span(
+            EntrySpan(
+                user_id=entry.user_id,
+                file_id=entry.file_id,
+                user_class=entry.user_class,
+                stage=entry.stage,
+                started_at=entry.started_at,
+                completed_at=now,
+            )
+        )
+        self.metrics.records[entry.user_id].file_completions[entry.file_id] = now
+        if self.trace is not None:
+            self.trace.record(now, EventKind.FILE_COMPLETED, entry.user_id, entry.file_id)
+        behavior = self.behaviors.get(entry.user_id)
+        if behavior is not None:
+            behavior.on_file_complete(entry)
+        self._tracker_leave_if_absent(entry.file_id, entry.user_id)
+
     def _complete_entries(self, domain: _RateDomain, due: list[DownloadEntry]) -> None:
         """Retire due entries and re-plan the domain (rates + completion)."""
         for entry in due:
@@ -564,26 +586,7 @@ class SimulationSystem:
             self.group_of_file(entry.file_id).remove_downloader(
                 entry.user_id, entry.file_id
             )
-            self.metrics.record_span(
-                EntrySpan(
-                    user_id=entry.user_id,
-                    file_id=entry.file_id,
-                    user_class=entry.user_class,
-                    stage=entry.stage,
-                    started_at=entry.started_at,
-                    completed_at=self.now,
-                )
-            )
-            record = self.metrics.records[entry.user_id]
-            record.file_completions[entry.file_id] = self.now
-            if self.trace is not None:
-                self.trace.record(
-                    self.now, EventKind.FILE_COMPLETED, entry.user_id, entry.file_id
-                )
-            behavior = self.behaviors.get(entry.user_id)
-            if behavior is not None:
-                behavior.on_file_complete(entry)
-            self._tracker_leave_if_absent(entry.file_id, entry.user_id)
+            self._file_completed(entry)
         self._dirt(domain).full = True
         self.flush()
 
@@ -614,26 +617,7 @@ class SimulationSystem:
                 self.group_of_file(entry.file_id).remove_downloader(
                     entry.user_id, entry.file_id
                 )
-            self.metrics.record_span(
-                EntrySpan(
-                    user_id=entry.user_id,
-                    file_id=entry.file_id,
-                    user_class=entry.user_class,
-                    stage=entry.stage,
-                    started_at=entry.started_at,
-                    completed_at=self.now,
-                )
-            )
-            record = self.metrics.records[entry.user_id]
-            record.file_completions[entry.file_id] = self.now
-            if self.trace is not None:
-                self.trace.record(
-                    self.now, EventKind.FILE_COMPLETED, entry.user_id, entry.file_id
-                )
-            behavior = self.behaviors.get(entry.user_id)
-            if behavior is not None:
-                behavior.on_file_complete(entry)
-            self._tracker_leave_if_absent(entry.file_id, entry.user_id)
+            self._file_completed(entry)
         # the departures changed the pool ratio ``q``; a seeds-strength
         # refresh absorbs that, rescaling the ``t_rest`` bound installed
         # above.  The fired event is spent, so always re-arm from the

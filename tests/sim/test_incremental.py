@@ -40,7 +40,12 @@ from repro.core.schemes import Scheme
 from repro.sim import SeedPolicy, SimulationSystem, make_behavior
 from repro.sim.behaviors import BehaviorKind
 from repro.sim.engine import Simulator
-from repro.sim.reference import eager_integration, oracle_mode, run_until_per_event
+from repro.sim.reference import (
+    eager_integration,
+    neighbor_topology_rebuild,
+    oracle_mode,
+    run_until_per_event,
+)
 from repro.sim.scenarios import ScenarioConfig, run_scenario
 
 MU, ETA, GAMMA = 0.02, 0.5, 0.05
@@ -285,12 +290,12 @@ class TestRandomizedEquivalence:
 class TestNeighborRandomizedEquivalence:
     """Twin fuzz for the neighbor-aware kernel.
 
-    Under ``oracle_mode()`` tracker swarms build no ``_TopoState``, so the
-    oracle twin rebuilds the adjacency/reach matrices from the tracker
-    samples on every epoch while the production twin serves gathers from
-    the incrementally maintained state.  The gathered arrays are bit-exact
-    copies of the rebuilt ones, so the twin trajectories must match to the
-    last bit.
+    Under ``oracle_mode()`` the oracle twin rebuilds the adjacency/reach
+    matrices from the tracker samples on every epoch
+    (:func:`repro.sim.reference.neighbor_topology_rebuild`) while the
+    production twin gathers from its live topology.  The gathered arrays
+    are bit-exact copies of the rebuilt ones, so the twin trajectories
+    must match to the last bit.
     """
 
     def test_incremental_topology_matches_full(self, limit, seed):
@@ -310,11 +315,11 @@ class TestNeighborRandomizedEquivalence:
 
 
 class TestNeighborTopologyState:
-    """Direct audits of the maintained ``_TopoState`` matrices."""
+    """Direct audits of the live topology matrices."""
 
     def test_maintained_state_matches_fresh_rebuild_midrun(self):
-        """At random checkpoints the gathered topology must equal a full
-        rebuild from the live tracker samples, array for array."""
+        """At random checkpoints the gathered topology must equal the
+        oracle's rebuild from the live tracker samples, array for array."""
         system = SimulationSystem(
             mu=MU, eta=ETA, gamma=GAMMA, num_classes=2, neighbor_limit=3
         )
@@ -333,14 +338,10 @@ class TestNeighborTopologyState:
             system.flush()
             for group in system.groups.values():
                 for swarm in group.swarms.values():
-                    state = swarm._topo_state
-                    if state is None:
+                    if not swarm.store.n:
                         continue
-                    gathered = swarm._topo_products(state)
-                    assert gathered is not None
-                    swarm._topo_state = None
-                    swarm._topology_cache = None
-                    rebuilt = swarm._neighbor_topology()
+                    gathered = swarm._neighbor_topology()
+                    rebuilt = neighbor_topology_rebuild(swarm)
                     for got, want in zip(gathered, rebuilt):
                         if got is None or want is None:
                             assert got is None and want is None
@@ -350,8 +351,8 @@ class TestNeighborTopologyState:
         assert checked >= 8  # the drive must actually exercise live states
 
     def test_kernel_counters_full_vs_incremental(self):
-        """The maintained state eliminates full rebuilds: one per swarm to
-        build it, gathers thereafter; the oracle rebuilds every epoch."""
+        """Production never rebuilds: every epoch gathers from the live
+        topology; the oracle rebuilds every epoch and never gathers."""
         from repro.obs import capture
 
         K = PAPER_PARAMETERS.num_files
@@ -361,14 +362,36 @@ class TestNeighborTopologyState:
                 run_under(hook, scenario(Scheme.MTSD, neighbor_limit=5))
             counters[incremental] = dict(obs.registry.counters)
         fast, oracle = counters[True], counters[False]
-        assert fast.get("sim.kernel.neighbor.full", 0) <= K
+        assert "sim.kernel.neighbor.full" not in fast
         assert oracle["sim.kernel.neighbor.full"] > 10 * K
-        assert fast["sim.kernel.neighbor.incremental"] > fast.get(
-            "sim.kernel.neighbor.full", 0
-        )
+        assert fast["sim.kernel.neighbor.incremental"] == oracle["sim.kernel.neighbor.full"]
         assert fast["sim.kernel.neighbor.rows"] > 0
-        # the oracle never maintains state, so it never counts row updates
-        assert "sim.kernel.neighbor.rows" not in oracle
+        # the oracle keeps the live topology in step but never reads it
+        assert "sim.kernel.neighbor.incremental" not in oracle
+
+
+class TestFullPassReasons:
+    """Every full share pass is counted under exactly one reason."""
+
+    @pytest.mark.parametrize(
+        ("config", "kernel"),
+        [
+            (scenario(Scheme.MTCD), "mesh"),
+            (scenario(Scheme.CMFSD, rho=0.3), "pool"),
+        ],
+        ids=["mtcd", "cmfsd"],
+    )
+    def test_reasons_sum_to_full(self, config, kernel):
+        from repro.obs import capture
+
+        with capture(trace=False) as obs:
+            run_scenario(config)
+        counters = obs.registry.counters
+        prefix = f"sim.kernel.{kernel}"
+        membership = counters.get(f"{prefix}.full_reason.membership", 0)
+        stale = counters.get(f"{prefix}.full_reason.stale_cache", 0)
+        assert membership > 0
+        assert membership + stale == counters[f"{prefix}.full"]
 
 
 class TestDispatchEquivalence:

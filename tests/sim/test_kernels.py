@@ -7,10 +7,11 @@ bandwidth-less seeds, isolated downloaders and neighbour samples pointing
 at departed users -- and assert the array kernels reproduce the scalar
 allocations to within float-summation reordering tolerance.
 
-The neighbour-aware kernel additionally caches topology-derived matrices
-keyed on version counters (store / neighbour table / seed tables), so a
-dedicated block mutates each of those between recomputes and re-checks
-against the oracle: a stale cache shows up here as a rate mismatch.
+The neighbour-aware kernel additionally keeps its topology matrices live
+across membership, sample and seed changes (:mod:`repro.sim.topology`),
+so a dedicated block mutates each of those between recomputes and
+re-checks against the oracle: a missed update shows up here as a rate
+mismatch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from hypothesis import given, settings
 from repro.sim.entities import DownloadEntry
 from repro.sim.reference import (
     advance_scalar,
-    due_entries_scalar,
     next_completion_time_scalar,
     recompute_rates_all_scalar,
     recompute_rates_scalar,
@@ -167,13 +167,12 @@ class TestNeighborAwareEquivalence:
                 st.sets(st.sampled_from(population), max_size=len(population))
             )
             if sample:
-                swarm.neighbors[uid] = sample - {uid}
+                swarm.set_neighbor_sample(uid, sample - {uid})
         _assert_matches_scalar(swarm)
 
     def test_no_partners_no_tft(self):
         group = _build_group([(0.05, 0.5, 1.0)] * 3, [], neighbor_aware=True)
-        swarm = group.swarms[0]
-        swarm.neighbors = {}  # nobody knows anybody
+        swarm = group.swarms[0]  # nobody knows anybody
         swarm.recompute_rates(ETA)
         np.testing.assert_array_equal(swarm.store.column("rate"), 0.0)
         _assert_matches_scalar(swarm)
@@ -183,7 +182,8 @@ class TestNeighborAwareEquivalence:
             [(0.05, 0.0, 1.0), (0.05, 0.4, 1.0)], [(0.6, True)], neighbor_aware=True
         )
         swarm = group.swarms[0]
-        swarm.neighbors = {0: {1, 1000}, 1: {0, 1000}}
+        swarm.set_neighbor_sample(0, {1, 1000})
+        swarm.set_neighbor_sample(1, {0, 1000})
         _assert_matches_scalar(swarm)
         assert swarm.store.entries[0].rate_from_virtual == pytest.approx(0.0)
 
@@ -192,12 +192,13 @@ class TestNeighborAwareEquivalence:
         swarm = group.swarms[0]
         group.add_seed(7, 0, 0.5, 1, virtual=True)
         group.add_seed(7, 0, 0.2, 1, virtual=False)
-        swarm.neighbors = {0: {1, 7}, 7: {1}}
+        swarm.set_neighbor_sample(0, {1, 7})
+        swarm.set_neighbor_sample(7, {1})
         _assert_matches_scalar(swarm)
 
 
 class TestTopologyCacheInvalidation:
-    """Mutate each versioned input between recomputes; rates must follow."""
+    """Mutate each topology input between recomputes; rates must follow."""
 
     def _fresh(self) -> SwarmGroup:
         group = _build_group(
@@ -206,8 +207,9 @@ class TestTopologyCacheInvalidation:
             neighbor_aware=True,
         )
         swarm = group.swarms[0]
-        swarm.neighbors = {0: {1, 1000}, 2: {1, 1001}}
-        swarm.recompute_rates(ETA)  # prime the cache
+        swarm.set_neighbor_sample(0, {1, 1000})
+        swarm.set_neighbor_sample(2, {1, 1001})
+        swarm.recompute_rates(ETA)  # prime the seed plan
         return group
 
     def test_membership_change_invalidates(self):
@@ -219,7 +221,7 @@ class TestTopologyCacheInvalidation:
                 tft_upload=0.03, download_cap=0.6, remaining=1.0,
             )
         )
-        swarm.neighbors[9] = {0, 1000}
+        swarm.set_neighbor_sample(9, {0, 1000})
         _assert_matches_scalar(swarm)
         group.remove_downloader(0, 0)
         _assert_matches_scalar(swarm)
@@ -227,9 +229,9 @@ class TestTopologyCacheInvalidation:
     def test_neighbor_change_invalidates(self):
         group = self._fresh()
         swarm = group.swarms[0]
-        swarm.neighbors[1] = {0, 1001}
+        swarm.set_neighbor_sample(1, {0, 1001})
         _assert_matches_scalar(swarm)
-        del swarm.neighbors[0]
+        swarm.drop_neighbor_sample(0)
         _assert_matches_scalar(swarm)
 
     def test_seed_change_invalidates(self):
@@ -238,7 +240,7 @@ class TestTopologyCacheInvalidation:
         group.remove_seed(1000, 0, virtual=True)
         _assert_matches_scalar(swarm)
         group.add_seed(1002, 0, 0.7, 1, virtual=False)
-        swarm.neighbors[1002] = {1}
+        swarm.set_neighbor_sample(1002, {1})
         _assert_matches_scalar(swarm)
 
     def test_bandwidth_change_invalidates(self):
@@ -250,7 +252,7 @@ class TestTopologyCacheInvalidation:
         assert not np.allclose(swarm.store.column("rate"), before)
 
     def test_capacity_change_needs_no_invalidation(self):
-        # download caps enter the per-call math, not the cached topology
+        # download caps enter the per-call math, not the live topology
         group = self._fresh()
         swarm = group.swarms[0]
         swarm.store.entries[1].download_cap = 0.9
@@ -282,9 +284,8 @@ class TestProgressAndCompletionEquivalence:
     @given(
         downloaders=st.lists(downloader_st, max_size=15),
         seeds=st.lists(seed_st, max_size=4),
-        slack=st.floats(0.0, 0.5),
     )
-    def test_completion_queries_match_scalar(self, downloaders, seeds, slack):
+    def test_completion_queries_match_scalar(self, downloaders, seeds):
         group = _build_group(downloaders, seeds)
         swarm = group.swarms[0]
         swarm.recompute_rates(ETA)
@@ -294,7 +295,6 @@ class TestProgressAndCompletionEquivalence:
             assert math.isinf(got_t)
         else:
             assert got_t == pytest.approx(expected_t, rel=1e-12)
-        assert swarm.due_entries(slack) == due_entries_scalar(swarm, slack)
 
     def test_snapshot_answers_from_frozen_state(self):
         group = _build_group([(0.05, 0.5, 1.0), (0.02, 0.3, 0.2)], [(0.4, True)])
@@ -302,7 +302,7 @@ class TestProgressAndCompletionEquivalence:
         swarm.recompute_rates(ETA)
         snap = swarm.work_snapshot()
         expected_t = next_completion_time_scalar(swarm)
-        expected_due = due_entries_scalar(swarm, 0.25)
+        expected_due = [e for e in swarm.downloaders.values() if e.remaining <= 0.25]
         # mutate the live store after the snapshot: answers must not move
         swarm.store.remaining[:2] = 0.0
         swarm.store.rate[:2] = 99.0

@@ -17,11 +17,15 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.sim.swarm as swarm_module
 from repro.sim import SeedPolicy, SimulationSystem, make_behavior
 from repro.sim.behaviors import BehaviorKind
 from repro.sim.engine import Simulator
-from repro.sim.reference import eager_integration, oracle_mode, run_until_per_event
+from repro.sim.reference import (
+    eager_integration,
+    neighbor_topology_rebuild,
+    oracle_mode,
+    run_until_per_event,
+)
 from repro.sim.swarm import Swarm, SwarmGroup
 
 MU, ETA, GAMMA = 0.02, 0.5, 0.05
@@ -32,7 +36,7 @@ def _production_attrs():
         Simulator.run_until,
         Swarm.recompute_rates_incremental,
         SwarmGroup.recompute_rates_all_incremental,
-        swarm_module._TopoState,
+        Swarm._neighbor_topology,
         SimulationSystem._start_window,
     )
 
@@ -53,7 +57,7 @@ class TestHooks:
             assert Simulator.run_until is run_until_per_event
             assert Swarm.recompute_rates_incremental(None, ETA) is False
             assert SwarmGroup.recompute_rates_all_incremental(None) is False
-            assert swarm_module._TopoState() is None
+            assert Swarm._neighbor_topology is neighbor_topology_rebuild
         assert _production_attrs() == before
 
     def test_hooks_restore_on_error(self):
@@ -70,14 +74,19 @@ class TestHooks:
             _, swarm = _one_downloader()
             assert not swarm.win.active
 
-    def test_oracle_mode_maintains_no_topology_state(self):
-        system, swarm = _one_downloader(neighbor_limit=2)
-        system.run_until(5.0)
-        assert swarm._topo_state is not None
-        with oracle_mode():
-            system, swarm = _one_downloader(neighbor_limit=2)
+    def test_oracle_mode_rebuilds_topology_every_epoch(self):
+        from repro.obs import capture
+
+        with capture(trace=False) as obs:
+            system, _ = _one_downloader(neighbor_limit=2)
             system.run_until(5.0)
-            assert swarm._topo_state is None
+        assert "sim.kernel.neighbor.full" not in obs.registry.counters
+        with oracle_mode(), capture(trace=False) as obs:
+            system, _ = _one_downloader(neighbor_limit=2)
+            system.run_until(5.0)
+        counters = obs.registry.counters
+        assert counters["sim.kernel.neighbor.full"] > 0
+        assert "sim.kernel.neighbor.incremental" not in counters
 
 
 def test_production_never_imports_the_oracle_module():

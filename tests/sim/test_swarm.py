@@ -226,10 +226,3 @@ class TestCompletionQueries:
         g.swarms[0].recompute_rates(0.5)
         assert math.isinf(g.next_completion_time())
 
-    def test_due_entries(self):
-        g = SwarmGroup(0, (0,), eta=0.5)
-        done = entry(user=1, remaining=0.0)
-        busy = entry(user=2, remaining=0.5)
-        g.add_downloader(done)
-        g.add_downloader(busy)
-        assert g.swarms[0].due_entries(1e-9) == [done]

@@ -162,7 +162,8 @@ class TestNeighborAwareRates:
         e = self._entry(1)
         g.add_downloader(e)
         g.add_seed(9, 0, 0.05, 1, virtual=False)
-        swarm.neighbors = {1: set(), 9: set()}  # nobody knows anybody
+        swarm.set_neighbor_sample(1, ())  # nobody knows anybody
+        swarm.set_neighbor_sample(9, ())
         swarm.recompute_rates(0.5)
         assert e.rate == 0.0
 
@@ -173,7 +174,7 @@ class TestNeighborAwareRates:
         e = self._entry(1)
         g.add_downloader(e)
         g.add_seed(9, 0, 0.05, 1, virtual=False)
-        swarm.neighbors = {1: {9}}  # the downloader sampled the seed
+        swarm.set_neighbor_sample(1, {9})  # the downloader sampled the seed
         swarm.recompute_rates(0.5)
         assert e.rate == pytest.approx(0.05)
 
@@ -185,7 +186,7 @@ class TestNeighborAwareRates:
         g.add_downloader(e1)
         g.add_downloader(e2)
         g.add_seed(9, 0, 0.06, 1, virtual=False)
-        swarm.neighbors = {9: {1}}  # the seed only knows user 1
+        swarm.set_neighbor_sample(9, {1})  # the seed only knows user 1
         swarm.recompute_rates(0.5)
         assert e1.rate == pytest.approx(0.06)
         assert e2.rate == 0.0
@@ -199,7 +200,7 @@ class TestNeighborAwareRates:
         paired_b = self._entry(3, tft=0.02)
         for e in (lonely, paired_a, paired_b):
             g.add_downloader(e)
-        swarm.neighbors = {2: {3}}
+        swarm.set_neighbor_sample(2, {3})
         swarm.recompute_rates(0.5)
         assert lonely.rate == 0.0
         assert paired_a.rate == pytest.approx(0.01)
@@ -208,64 +209,10 @@ class TestNeighborAwareRates:
     def test_connection_is_mutual(self):
         g = SwarmGroup(0, (0,), eta=0.5)
         swarm = g.swarms[0]
-        swarm.neighbors = {5: {7}}
+        swarm.set_neighbor_sample(5, {7})
         assert swarm.connected(5, 7)
         assert swarm.connected(7, 5)
         assert not swarm.connected(5, 8)
-
-
-class TestTopologyCacheInvalidation:
-    """The neighbour-topology kernel cache is keyed on version counters;
-    read-only dict traffic must not evict it (regression: ``setdefault``
-    on a present key used to bump the version and force a rebuild on
-    every recompute)."""
-
-    def _swarm(self):
-        g = SwarmGroup(0, (0,), eta=0.5)
-        swarm = g.swarms[0]
-        swarm.neighbor_aware = True
-        for user in (1, 2):
-            g.add_downloader(
-                DownloadEntry(
-                    user_id=user, file_id=0, user_class=1, stage=1,
-                    tft_upload=0.02, download_cap=0.2, remaining=1.0,
-                )
-            )
-        g.add_seed(9, 0, 0.05, 1, virtual=False)
-        swarm.neighbors = {1: {2, 9}}
-        swarm.recompute_rates(0.5)  # populates the cache
-        assert swarm._topology_cache is not None
-        return swarm
-
-    def test_noop_setdefault_keeps_cache_warm(self):
-        swarm = self._swarm()
-        topology = swarm._topology_cache[1]
-        version = swarm.neighbors.version
-        assert swarm.neighbors.setdefault(1, set()) == {2, 9}
-        assert swarm.neighbors.version == version
-        swarm.recompute_rates(0.5)
-        assert swarm._topology_cache[1] is topology
-
-    def test_inserting_setdefault_invalidates(self):
-        swarm = self._swarm()
-        topology = swarm._topology_cache[1]
-        version = swarm.neighbors.version
-        assert swarm.neighbors.setdefault(2, {1}) == {1}
-        assert swarm.neighbors.version == version + 1
-        swarm.recompute_rates(0.5)
-        assert swarm._topology_cache[1] is not topology
-
-    def test_other_mutations_invalidate(self):
-        swarm = self._swarm()
-        for mutate in (
-            lambda d: d.__setitem__(2, {1}),
-            lambda d: d.pop(2),
-            lambda d: d.update({2: {1, 9}}),
-            lambda d: d.__delitem__(2),
-        ):
-            version = swarm.neighbors.version
-            mutate(swarm.neighbors)
-            assert swarm.neighbors.version == version + 1
 
 
 class TestSystemIntegration:
