@@ -7,11 +7,11 @@ and reports wall-clock timing through pytest-benchmark.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Every benchmark test additionally runs under a fresh
-:class:`repro.obs.MetricsRegistry`, and the session writes
-``results/BENCH_results.json`` -- per-test wall-clock, peak process RSS
-plus every obs counter the run produced -- so CI can archive
+:class:`repro.obs.MetricsRegistry`, and the session merges its records
+into ``results/BENCH_results.json`` -- per-test wall-clock, peak process
+RSS plus every obs counter the run produced -- so CI can archive
 machine-readable evidence alongside the human-readable pytest-benchmark
-table.
+table.  Records of tests this session did not run are kept.
 
 Memory is tracked via ``getrusage`` high-water marks: ``max_rss_kb`` is
 the process peak after the test and ``rss_growth_kb`` how much this test
@@ -86,15 +86,32 @@ def pytest_runtest_call(item):
     }
 
 
+def write_results(path: Path, records: dict[str, dict], exit_status: int) -> None:
+    """Merge this session's per-test ``records`` into the results file.
+
+    Tests run in earlier sessions keep their records, so running one bench
+    file does not erase every other bench's baseline; a test that ran again
+    takes this session's record.  An unreadable file is replaced.
+    """
+    merged: dict[str, dict] = {}
+    try:
+        previous = json.loads(path.read_text())
+    except (OSError, ValueError):
+        previous = None
+    if isinstance(previous, dict) and isinstance(previous.get("results"), dict):
+        merged.update(previous["results"])
+    merged.update(records)
+    payload = {
+        "schema": "repro-bt/bench-results/v1",
+        "generated_unix": round(time.time(), 3),
+        "exit_status": int(exit_status),
+        "results": merged,
+    }
+    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _BENCH_RECORDS:
         return
     RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "schema": "repro-bt/bench-results/v1",
-        "generated_unix": round(time.time(), 3),
-        "exit_status": int(exitstatus),
-        "results": _BENCH_RECORDS,
-    }
-    path = RESULTS_DIR / "BENCH_results.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    write_results(RESULTS_DIR / "BENCH_results.json", _BENCH_RECORDS, exitstatus)

@@ -18,16 +18,54 @@ the scalars ``q`` (and ``qv`` for the virtual-seed part), and integrating
 progress only needs the running integrals ``B = int q dt`` /
 ``C = int qv dt`` plus the elapsed time.  Per-row state is materialised
 (folded) only at completion events or when something actually reads it.
+
+Completion events ask the window which rows are due (:meth:`RateWindow.due`).
+Rows of one store that share ``(tft_upload, download_cap)`` form a *lane*:
+every row of a lane gets the same rate outside a window and the same
+subtraction inside one, so a lane's order by stored remaining work never
+changes, and its due rows are a prefix.  Each store keeps its rows in lanes
+(:meth:`repro.sim.peerstore.PeerStore.lanes`), and the judgement walks each
+lane from its head, so it costs O(lanes + due rows) rather than O(rows).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RateWindow", "downloader_rates", "seed_share"]
+from repro.obs import current_registry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.entities import DownloadEntry
+    from repro.sim.peerstore import PeerStore
+
+__all__ = ["SCALAR_KERNEL_CUTOFF", "RateWindow", "downloader_rates", "seed_share"]
+
+#: Swarms at or below this size take scalar (pure-Python) kernel paths --
+#: a dozen ufunc launches cost ~40us regardless of n, which dwarfs the
+#: arithmetic for the small swarms event-driven runs are made of.  The
+#: scalar loops perform the same IEEE operations element-wise, so results
+#: are identical; only the capacity *sum* differs in rounding from NumPy's
+#: pairwise reduction, and the path choice depends only on n (part of the
+#: simulation state), so every run makes the same choice deterministically.
+#: The due judgement (:meth:`RateWindow.due`) makes the same split by
+#: lanes: a store with more lanes than this takes one vector pass.
+#:
+#: The value is *measured*, not guessed:
+#: ``benchmarks/test_bench_scalar_cutoff.py`` sweeps the mesh rate kernel
+#: and the completion-time scan across swarm sizes bracketing this
+#: constant and asserts the scalar path wins below it and the vectorised
+#: path wins well above it.  On the reference container (Linux x86-64,
+#: NumPy 2.x) the measured crossover is ~45 rows for the mesh kernel and
+#: ~90 for the completion scan; 64 sits between the two, so each kernel
+#: pays at most a mild loss near the boundary and never a blow-up.
+#: Re-run the micro-bench when changing it.
+SCALAR_KERNEL_CUTOFF = 64
+
+_slot_of = attrgetter("_slot")
 
 
 class RateWindow:
@@ -165,6 +203,96 @@ class RateWindow:
             t = self.t + eta_row
             if t < self.bound:
                 self.bound = t
+
+    def due(
+        self, stores: "Iterable[PeerStore]", eps: float
+    ) -> "tuple[float, list[DownloadEntry], float]":
+        """Rows of ``stores`` due within ``eps`` of now, judged in window space.
+
+        Returns ``(t_next, due, t_rest)``: the earliest completion time
+        (``inf`` when empty), the due rows sorted by (store, slot), and the
+        earliest completion among the rows that stay -- the window's next
+        bound once the due rows leave.  A row's remaining work is
+        ``stored - (coef_t*tft + B*cap)``, the fold
+        :meth:`~repro.sim.swarm._RateDomain.win_materialize` applies,
+        element-wise identical, so an event that fired at a stale
+        conservative bound can re-plan without materialising.  The caller
+        must have accumulated the window to *now* first.
+
+        Each lane is walked from its head and stops at its first row that
+        is not due: that row is the lane's earliest non-due completion, and
+        every row behind it completes no earlier.  A store with more than
+        ``SCALAR_KERNEL_CUTOFF`` lanes takes one vector pass over all its
+        rows instead.
+        """
+        t = self.t
+        eta_w = self.eta
+        q = self.q
+        B = self.B
+        coef_t = eta_w * (t - self.t_start)
+        e_next = e_rest = math.inf
+        due: list[DownloadEntry] = []
+        rows = 0
+        for store in stores:
+            n = store.n
+            if not n:
+                continue
+            lanes = store.lanes()
+            if len(lanes) > SCALAR_KERNEL_CUTOFF:
+                rows += n
+                tft = store.tft_upload[:n]
+                caps = store.download_cap[:n]
+                remaining = store.remaining[:n] - (coef_t * tft + B * caps)
+                rate = eta_w * tft + q * caps
+                # rates are sums of nonnegative terms, so plain division
+                # suffices: a stalled positive row divides to ``+inf``
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    etas = remaining / rate
+                etas[remaining <= 0.0] = 0.0  # done rows are due regardless of rate
+                e_min = float(etas.min())
+                if e_min < e_next:
+                    e_next = e_min
+                if e_min > eps:
+                    if e_min < e_rest:
+                        e_rest = e_min
+                    continue
+                due_mask = etas <= eps
+                entries = store.entries
+                due.extend(entries[i] for i in np.flatnonzero(due_mask))
+                rest = etas[~due_mask]
+                if rest.size:
+                    e_min = float(rest.min())
+                    if e_min < e_rest:
+                        e_rest = e_min
+                continue
+            remaining = store.remaining
+            found: list[DownloadEntry] = []
+            for (tf, cp), lane in lanes.items():
+                sub = coef_t * tf + B * cp
+                rate = eta_w * tf + q * cp
+                for entry in lane:
+                    rows += 1
+                    r = remaining.item(entry._slot) - sub
+                    if r <= 0.0:
+                        e = 0.0
+                    else:
+                        e = r / rate if rate > 0.0 else math.inf
+                    if e < e_next:
+                        e_next = e
+                    if e <= eps:
+                        found.append(entry)
+                    else:
+                        if e < e_rest:
+                            e_rest = e
+                        break
+            if len(found) > 1:
+                found.sort(key=_slot_of)
+            due.extend(found)
+        reg = current_registry()
+        if reg.enabled:
+            reg.inc("sim.window.due.scans")
+            reg.inc("sim.window.due.rows", rows)
+        return t + e_next, due, t + e_rest
 
 
 def seed_share(download_caps: Sequence[float], capacity: float) -> np.ndarray:

@@ -26,7 +26,9 @@ def _store_backed(name: str, volatile: bool = False) -> property:
     :class:`~repro.sim.bandwidth.RateWindow`, the store carries a ``_sync``
     callback; reading a volatile field (or writing any field) through the
     entry triggers it first, so the object API never observes deferred
-    state.
+    state.  A write also drops the store's lane index
+    (:meth:`~repro.sim.peerstore.PeerStore.drop_lanes`): it can move the
+    row within or between lanes.
     """
     private = "_" + name
 
@@ -54,6 +56,7 @@ def _store_backed(name: str, volatile: bool = False) -> property:
             if store._sync is not None:
                 store._sync()
             getattr(store, name)[self._slot] = value
+            store.drop_lanes()
         else:
             object.__setattr__(self, private, float(value))
 

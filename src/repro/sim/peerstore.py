@@ -17,6 +17,23 @@ arrays -- so the scalar reference implementations, behaviours and tests
 keep working unchanged on top of the same storage.  On detach the row's
 values are copied back into the entry, which then behaves like a plain
 record again (completion handling reads ``entry.remaining`` after removal).
+
+The store also keeps its rows in *lanes* for the window's due judgement
+(:meth:`repro.sim.bandwidth.RateWindow.due`): one list per distinct
+``(tft_upload, download_cap)`` pair, sorted by stored remaining work.  Every
+row of a lane gets the same rate outside a deferred window and the same
+subtraction inside one, so the order never changes; a new row starts at
+the file size (plus a join bias that never shrinks inside a window), so it
+belongs at its lane's tail.  The index is built on the first judgement
+(:meth:`PeerStore.lanes`) and then kept across windows:
+
+* :meth:`attach` appends the row to its lane's tail -- or, while a window
+  defers the store, :meth:`~repro.sim.swarm._RateDomain.win_bias_attached`
+  does once the join bias is on (:meth:`index_join`).  A row that would
+  not sort last drops the index;
+* :meth:`detach` removes the row from its lane;
+* any write through an entry's attributes drops the index
+  (:meth:`drop_lanes`), since it can move the row within or between lanes.
 """
 
 from __future__ import annotations
@@ -24,6 +41,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.obs import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.entities import DownloadEntry
@@ -51,7 +70,11 @@ INT_FIELDS = ("user_id", "user_class", "stage")
 class PeerStore:
     """Contiguous per-peer arrays for one swarm, plus the slot -> entry map."""
 
-    __slots__ = ("n", "version", "entries", "_sync") + FLOAT_FIELDS + INT_FIELDS
+    __slots__ = (
+        ("n", "version", "entries", "_sync", "_lanes", "_indexed")
+        + FLOAT_FIELDS
+        + INT_FIELDS
+    )
 
     def __init__(self, capacity: int = 8):
         if capacity < 1:
@@ -65,6 +88,14 @@ class PeerStore:
         #: callable that materialises the domain, so entry-level reads of
         #: time-integrated fields never observe deferred (biased) state
         self._sync = None
+        #: ``(tft_upload, download_cap) -> [entries by stored remaining]``
+        #: (see the module docstring), or ``None`` until the next due
+        #: judgement builds it
+        self._lanes: dict[tuple[float, float], list[DownloadEntry]] | None = None
+        #: rows held in ``_lanes``; below ``n`` when a row joined under an
+        #: open window but was never filed (attached without the window's
+        #: join hook), so the next judgement rebuilds
+        self._indexed = 0
         #: slot index -> attached entry (parallel to the array rows)
         self.entries: list[DownloadEntry] = []
         for name in FLOAT_FIELDS:
@@ -115,6 +146,8 @@ class PeerStore:
         self.version += 1
         entry._store = self
         entry._slot = slot
+        if self._lanes is not None and self._sync is None:
+            self.index_join(entry)
         return slot
 
     def detach(self, entry: "DownloadEntry") -> None:
@@ -125,6 +158,8 @@ class PeerStore:
                 "attached to this store"
             )
         slot = entry._slot
+        if self._lanes is not None:
+            self._unindex(entry, slot)
         entry._tft_upload = float(self.tft_upload[slot])
         entry._download_cap = float(self.download_cap[slot])
         entry._remaining = float(self.remaining[slot])
@@ -144,3 +179,68 @@ class PeerStore:
         self.entries.pop()
         self.n = last
         self.version += 1
+
+    # ----- the lane index ---------------------------------------------------------
+
+    def lanes(self) -> "dict[tuple[float, float], list[DownloadEntry]]":
+        """Rows grouped by ``(tft_upload, download_cap)``, each lane sorted
+        by stored remaining work; built here when missing or incomplete."""
+        lanes = self._lanes
+        if lanes is not None and self._indexed == self.n:
+            return lanes
+        n = self.n
+        tft = self.tft_upload[:n].tolist()
+        caps = self.download_cap[:n].tolist()
+        remaining = self.remaining[:n].tolist()
+        entries = self.entries
+        lanes = {}
+        for i in sorted(range(n), key=remaining.__getitem__):
+            key = (tft[i], caps[i])
+            lane = lanes.get(key)
+            if lane is None:
+                lanes[key] = [entries[i]]
+            else:
+                lane.append(entries[i])
+        self._lanes = lanes
+        self._indexed = n
+        reg = current_registry()
+        if reg.enabled:
+            reg.inc("sim.window.due.index_builds")
+        return lanes
+
+    def index_join(self, entry: "DownloadEntry") -> None:
+        """Append a freshly attached row at its lane's tail.
+
+        Drops the index instead when the row's stored remaining work is
+        below the tail's, i.e. when it does not sort last.
+        """
+        lanes = self._lanes
+        if lanes is None:
+            return
+        slot = entry._slot
+        key = (self.tft_upload.item(slot), self.download_cap.item(slot))
+        lane = lanes.get(key)
+        if lane is None:
+            lanes[key] = [entry]
+        elif self.remaining.item(slot) < self.remaining.item(lane[-1]._slot):
+            self.drop_lanes()
+            return
+        else:
+            lane.append(entry)
+        self._indexed += 1
+
+    def drop_lanes(self) -> None:
+        """Forget the lane index; the next due judgement rebuilds it."""
+        self._lanes = None
+
+    def _unindex(self, entry: "DownloadEntry", slot: int) -> None:
+        """Remove a departing row from its lane (before its slot is reused)."""
+        lanes = self._lanes
+        key = (self.tft_upload.item(slot), self.download_cap.item(slot))
+        lane = lanes.get(key)
+        if lane is None or entry not in lane:
+            return  # never filed (see ``_indexed``)
+        lane.remove(entry)
+        self._indexed -= 1
+        if not lane:
+            del lanes[key]

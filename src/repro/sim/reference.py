@@ -1,6 +1,6 @@
 """Reference implementations the DES is checked against.
 
-Three kinds of oracle live here, and no production module imports this one.
+Four kinds of oracle live here, and no production module imports this one.
 
 **Scalar kernels.**  The original per-entry Python loops that
 :meth:`repro.sim.swarm.Swarm.recompute_rates`,
@@ -20,13 +20,20 @@ tracker-limited swarm's adjacency and seed-reach matrices from scratch
 out of its tracker samples.  The live topology
 (:mod:`repro.sim.topology`) must gather the same arrays, bit for bit.
 
+**Due scan.**  :func:`win_due_scan` judges which rows of an open window
+are due by recomputing every row's time to completion, O(rows) per
+completion event.  The production judgement
+(:meth:`repro.sim.bandwidth.RateWindow.due`) walks each store's lanes
+from their heads instead and must return the same ``(t_next, due,
+t_rest)``, bit for bit and with the due rows in the same order.
+
 **Oracle modes.**  The DES has one production path; the slower paths it
 must agree with are swapped in for the duration of a ``with`` block by
 replacing production methods (and restored on exit, even on error):
 
 * :func:`oracle_mode` -- per-event dispatch (:func:`run_until_per_event`),
-  full rate kernels on every flush and a full neighbour-topology rebuild
-  on every epoch.  Production must match it **bit for bit**.
+  full rate kernels on every flush, a full neighbour-topology rebuild
+  on every epoch and the full due scan on every windowed completion.  Production must match it **bit for bit**.
 * :func:`eager_integration` -- no deferred
   :class:`~repro.sim.bandwidth.RateWindow`: progress integrates on every
   flush.  The summation order differs, so production agrees with it to
@@ -41,17 +48,19 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 import repro.sim.swarm as swarm_module
 from repro.obs import current_registry
+from repro.sim.bandwidth import SCALAR_KERNEL_CUTOFF, RateWindow
 from repro.sim.engine import Simulator
 from repro.sim.system import SimulationSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.entities import UserRecord
+    from repro.sim.entities import DownloadEntry, UserRecord
+    from repro.sim.peerstore import PeerStore
     from repro.sim.swarm import Swarm, SwarmGroup
 
 __all__ = [
@@ -60,6 +69,7 @@ __all__ = [
     "advance_scalar",
     "next_completion_time_scalar",
     "neighbor_topology_rebuild",
+    "win_due_scan",
     "run_until_per_event",
     "oracle_mode",
     "eager_integration",
@@ -259,6 +269,89 @@ def neighbor_topology_rebuild(swarm: "Swarm"):
     return has_partner, connectivity, bandwidth, virtual_vec
 
 
+def win_due_scan(
+    win: RateWindow, stores: "Iterable[PeerStore]", eps: float
+) -> "tuple[float, list[DownloadEntry], float]":
+    """Full-scan equivalent of :meth:`RateWindow.due`.
+
+    Judges every row of every store: ``(t_next, due, t_rest)`` are the
+    earliest completion, the rows due within ``eps`` (store by store, in
+    slot order) and the earliest completion among the rows that stay.
+    """
+    t_next = math.inf
+    t_rest = math.inf
+    due: list[DownloadEntry] = []
+    for store in stores:
+        t_c, rows, t_r = _store_due_scan(win, store, eps)
+        if t_c < t_next:
+            t_next = t_c
+        if t_r < t_rest:
+            t_rest = t_r
+        due.extend(rows)
+    return t_next, due, t_rest
+
+
+def _store_due_scan(
+    win: RateWindow, store: "PeerStore", eps: float
+) -> "tuple[float, list[DownloadEntry], float]":
+    """One store's earliest completion under the open window, its rows due
+    within ``eps``, and the earliest *non-due* completion (``inf`` when
+    every row is due).  Stores of at most ``SCALAR_KERNEL_CUTOFF`` rows
+    take a scalar loop with the exact expression shape of the vector pass.
+    """
+    t = win.t
+    n = store.n
+    if not n:
+        return math.inf, [], math.inf
+    if n <= SCALAR_KERNEL_CUTOFF:
+        eta_w = win.eta
+        q = win.q
+        B = win.B
+        coef_t = eta_w * (win.t - win.t_start)
+        tft = store.tft_upload[:n].tolist()
+        caps = store.download_cap[:n].tolist()
+        rem = store.remaining[:n].tolist()
+        entries = store.entries
+        due: list[DownloadEntry] = []
+        t_due = math.inf
+        t_rest = math.inf
+        for i in range(n):
+            tf = tft[i]
+            cp = caps[i]
+            r = rem[i] - (coef_t * tf + B * cp)
+            if r <= 0.0:
+                e = 0.0
+            else:
+                rate = eta_w * tf + q * cp
+                e = r / rate if rate > 0.0 else math.inf
+            if e <= eps:
+                due.append(entries[i])
+                if e < t_due:
+                    t_due = e
+            elif e < t_rest:
+                t_rest = e
+        t_next = t_due if t_due < t_rest else t_rest
+        return t + t_next, due, t + t_rest if t_rest < math.inf else math.inf
+    tft = store.tft_upload[:n]
+    caps = store.download_cap[:n]
+    coef_t = win.eta * (win.t - win.t_start)
+    remaining = store.remaining[:n] - (coef_t * tft + win.B * caps)
+    rate = win.eta * tft + win.q * caps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        etas = remaining / rate
+    etas[remaining <= 0.0] = 0.0  # done rows are due regardless of rate
+    t_min = float(etas.min())
+    if t_min > eps:
+        t_next = t + t_min
+        return t_next, [], t_next
+    due_mask = etas <= eps
+    entries = store.entries
+    due = [entries[i] for i in np.flatnonzero(due_mask)]
+    rest = etas[~due_mask]
+    t_rest = t + float(rest.min()) if rest.size else math.inf
+    return t + t_min, due, t_rest
+
+
 def run_until_per_event(
     sim: Simulator, t_end: float, max_events: int | None = None
 ) -> int:
@@ -322,13 +415,17 @@ def oracle_mode() -> "contextlib.AbstractContextManager[None]":
     * :meth:`Swarm._neighbor_topology` becomes
       :func:`neighbor_topology_rebuild`, so tracker-limited swarms rebuild
       their neighbour topology from the tracker samples on every epoch
-      (the live topology is still kept in step, but never read).
+      (the live topology is still kept in step, but never read);
+    * :meth:`RateWindow.due` becomes :func:`win_due_scan`, so every
+      windowed completion judges every row (the stores' lane indexes are
+      never built).
     """
     return _patched(
         (Simulator, "run_until", run_until_per_event),
         (swarm_module.Swarm, "recompute_rates_incremental", _decline),
         (swarm_module.SwarmGroup, "recompute_rates_all_incremental", _decline),
         (swarm_module.Swarm, "_neighbor_topology", neighbor_topology_rebuild),
+        (RateWindow, "due", win_due_scan),
     )
 
 

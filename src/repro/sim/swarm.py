@@ -60,7 +60,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.obs import current_registry
-from repro.sim.bandwidth import RateWindow
+from repro.sim.bandwidth import SCALAR_KERNEL_CUTOFF, RateWindow
 from repro.sim.entities import DownloadEntry, UserRecord
 from repro.sim.peerstore import PeerStore
 from repro.sim.topology import TopoState
@@ -72,25 +72,6 @@ __all__ = [
     "SwarmGroup",
     "WorkSnapshot",
 ]
-
-#: Swarms at or below this size take scalar (pure-Python) kernel paths --
-#: a dozen ufunc launches cost ~40us regardless of n, which dwarfs the
-#: arithmetic for the small swarms event-driven runs are made of.  The
-#: scalar loops perform the same IEEE operations element-wise, so results
-#: are identical; only the capacity *sum* differs in rounding from NumPy's
-#: pairwise reduction, and the path choice depends only on n (part of the
-#: simulation state), so every run makes the same choice deterministically.
-#:
-#: The value is *measured*, not guessed:
-#: ``benchmarks/test_bench_scalar_cutoff.py`` sweeps the mesh rate kernel
-#: and the completion-time scan across swarm sizes bracketing this
-#: constant and asserts the scalar path wins below it and the vectorised
-#: path wins well above it.  On the reference container (Linux x86-64,
-#: NumPy 2.x) the measured crossover is ~45 rows for the mesh kernel and
-#: ~90 for the completion scan; 64 sits between the two, so each kernel
-#: pays at most a mild loss near the boundary and never a blow-up.
-#: Re-run the micro-bench when changing it.
-SCALAR_KERNEL_CUTOFF = 64
 
 
 class SeedPolicy(enum.Enum):
@@ -475,8 +456,10 @@ class _RateDomain:
         """Adopt one freshly attached row into the open window.
 
         Pre-charges the row's stored state with the integrals accumulated
-        before it joined (so the eventual uniform fold is exact) and folds
-        its capacity and tft/cap ratio into the window's scalars.
+        before it joined (so the eventual uniform fold is exact), files it
+        at its lane's tail in the store's due index (see
+        :meth:`PeerStore.index_join`) and folds its capacity and tft/cap
+        ratio into the window's scalars.
         """
         win = self.win
         store = entry._store
@@ -488,6 +471,7 @@ class _RateDomain:
             store.remaining[slot] += bias
         if win.C:
             store.received_virtual_acc[slot] -= cap * win.C
+        store.index_join(entry)  # biased: now it sorts last in its lane
         win.total_cap += cap
         if cap > 0.0:
             ratio = win.eta * tft / cap
@@ -535,29 +519,9 @@ class _RateDomain:
         return True
 
     def win_due(self, eps: float) -> "tuple[float, list[DownloadEntry], float]":
-        """Entries due within ``eps`` of now, judged in window space.
-
-        Returns ``(t_next, due, t_rest)``: the earliest completion time
-        (``inf`` when empty), the due rows, and the earliest completion
-        among the rows that stay -- the window's next bound once the due
-        rows leave.  Exact at the window's current ``q`` (the same linear
-        fold :meth:`win_materialize` applies, element-wise identical), so
-        an event that fired at a stale conservative bound can re-plan
-        without materialising.  The caller must have accumulated the
-        window to *now* first.
-        """
-        win = self.win
-        t_next = math.inf
-        t_rest = math.inf
-        due: list[DownloadEntry] = []
-        for swarm in self._members:
-            t_c, rows, t_r = _win_due(win, swarm.store, eps)
-            if t_c < t_next:
-                t_next = t_c
-            if t_r < t_rest:
-                t_rest = t_r
-            due.extend(rows)
-        return t_next, due, t_rest
+        """Entries due within ``eps`` of now, judged in window space over
+        every member store (see :meth:`RateWindow.due`)."""
+        return self.win.due([swarm.store for swarm in self._members], eps)
 
     def win_complete(self, entry: DownloadEntry, records) -> None:
         """Retire one due row without closing the window (per-row fold).
@@ -657,6 +621,9 @@ class Swarm(_RateDomain):
         self._topo: TopoState | None = None
         #: a SUBTORRENT domain's only member is the swarm itself
         self._members = (self,)
+        #: the group this swarm belongs to (its downloader count follows
+        #: this swarm's joins and leaves), ``None`` for a free-standing swarm
+        self._group: SwarmGroup | None = None
         self._share_cache = None
         #: integral of time this swarm's virtual seeds were uploading
         #: (advanced lazily; see :meth:`settle_virtual_seed`)
@@ -708,6 +675,8 @@ class Swarm(_RateDomain):
         """Insert an entry: dict membership plus a store row, atomically."""
         self.downloaders[(entry.user_id, entry.file_id)] = entry
         self.store.attach(entry)
+        if self._group is not None:
+            self._group._n_downloaders += 1
         if self._topo is not None:
             self._topo.join(entry.user_id)
 
@@ -716,6 +685,8 @@ class Swarm(_RateDomain):
         entry = self.downloaders.pop(key)
         slot = entry._slot
         self.store.detach(entry)
+        if self._group is not None:
+            self._group._n_downloaders -= 1
         if self._topo is not None:
             self._topo.leave(key[0], slot)
         return entry
@@ -983,75 +954,6 @@ class Swarm(_RateDomain):
         return self.last_update + eta_min
 
 
-def _win_due(
-    win: RateWindow, store: PeerStore, eps: float
-) -> "tuple[float, list[DownloadEntry], float]":
-    """One store's earliest completion under the open window, its rows due
-    within ``eps``, and the earliest *non-due* completion (the bound the
-    window keeps once the due rows leave; ``inf`` when every row is due).
-
-    The remaining-work expression matches the fold in
-    :meth:`_RateDomain.win_materialize` element-wise, so every judgement
-    made here agrees bit-for-bit with what a materialise would produce.
-    """
-    t = win.t
-    n = store.n
-    if not n:
-        return math.inf, [], math.inf
-    if n <= SCALAR_KERNEL_CUTOFF:
-        # scalar fast path (same cutoff as the rate kernels): python-float
-        # arithmetic with the exact expression shape of the vector pass,
-        # so the judgements agree bit-for-bit
-        eta_w = win.eta
-        q = win.q
-        B = win.B
-        coef_t = eta_w * (win.t - win.t_start)
-        tft = store.tft_upload[:n].tolist()
-        caps = store.download_cap[:n].tolist()
-        rem = store.remaining[:n].tolist()
-        entries = store.entries
-        due: list[DownloadEntry] = []
-        t_due = math.inf
-        t_rest = math.inf
-        for i in range(n):
-            tf = tft[i]
-            cp = caps[i]
-            r = rem[i] - (coef_t * tf + B * cp)
-            if r <= 0.0:
-                e = 0.0
-            else:
-                rate = eta_w * tf + q * cp
-                e = r / rate if rate > 0.0 else math.inf
-            if e <= eps:
-                due.append(entries[i])
-                if e < t_due:
-                    t_due = e
-            elif e < t_rest:
-                t_rest = e
-        t_next = t_due if t_due < t_rest else t_rest
-        return t + t_next, due, t + t_rest if t_rest < math.inf else math.inf
-    tft = store.tft_upload[:n]
-    caps = store.download_cap[:n]
-    coef_t = win.eta * (win.t - win.t_start)
-    remaining = store.remaining[:n] - (coef_t * tft + win.B * caps)
-    rate = win.eta * tft + win.q * caps
-    # rates are sums of nonnegative terms, so plain division suffices: a
-    # stalled positive row divides to ``+inf``
-    with np.errstate(divide="ignore", invalid="ignore"):
-        etas = remaining / rate
-    etas[remaining <= 0.0] = 0.0  # done rows are due regardless of rate
-    t_min = float(etas.min())
-    if t_min > eps:
-        t_next = t + t_min
-        return t_next, [], t_next
-    due_mask = etas <= eps
-    entries = store.entries
-    due = [entries[i] for i in np.flatnonzero(due_mask)]
-    rest = etas[~due_mask]
-    t_rest = t + float(rest.min()) if rest.size else math.inf
-    return t + t_min, due, t_rest
-
-
 def _write_rates(
     store: PeerStore, share: "list | np.ndarray", eta: float, pool: float, sv: float
 ) -> None:
@@ -1151,6 +1053,11 @@ class SwarmGroup(_RateDomain):
         self.records = records
         self._members = tuple(self.swarms.values())
         self._share_cache = None
+        #: downloaders over every member swarm, kept by their joins and
+        #: leaves (the window drivers read it on every event)
+        self._n_downloaders = 0
+        for swarm in self._members:
+            swarm._group = self
         #: deferred-integration window for the pooled rate domain; under
         #: ``GLOBAL_POOL`` every member swarm aliases it so row-level hooks
         #: (:meth:`Swarm.settle_received`) see the governing integrals
@@ -1272,7 +1179,7 @@ class SwarmGroup(_RateDomain):
 
     @property
     def n_downloaders(self) -> int:
-        return sum(s.n_downloaders for s in self.swarms.values())
+        return self._n_downloaders
 
     def total_virtual_capacity(self) -> float:
         return sum(s.virtual_seeds.total for s in self.swarms.values())

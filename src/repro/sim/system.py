@@ -511,11 +511,12 @@ class SimulationSystem:
         self._completion_handles.pop(domain, None)
         if domain.win.active:
             # The event fired at the window's conservative bound.  Judge
-            # it in window space: one vector pass answers "who is actually
-            # due" exactly at the current ``q``, so a stale bound (routine
-            # after the pool shrank) re-plans without folding the window
-            # or touching any rates -- and genuinely due rows are retired
-            # by per-row folds that keep the window open for everyone else.
+            # it in window space: a walk down each store's lanes answers
+            # "who is actually due" exactly at the current ``q``, so a
+            # stale bound (routine after the pool shrank) re-plans without
+            # folding the window or touching any rates -- and genuinely due
+            # rows are retired by per-row folds that keep the window open
+            # for everyone else.
             domain.win_accumulate(self.now)
             t_next, due, t_rest = domain.win_due(1e-6)
             if not due:

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.sim import SeedPolicy, SimulationSystem, make_behavior
+from repro.sim.bandwidth import RateWindow
 from repro.sim.behaviors import BehaviorKind
 from repro.sim.engine import Simulator
 from repro.sim.reference import (
@@ -25,6 +26,7 @@ from repro.sim.reference import (
     neighbor_topology_rebuild,
     oracle_mode,
     run_until_per_event,
+    win_due_scan,
 )
 from repro.sim.swarm import Swarm, SwarmGroup
 
@@ -38,6 +40,7 @@ def _production_attrs():
         SwarmGroup.recompute_rates_all_incremental,
         Swarm._neighbor_topology,
         SimulationSystem._start_window,
+        RateWindow.due,
     )
 
 
@@ -58,6 +61,7 @@ class TestHooks:
             assert Swarm.recompute_rates_incremental(None, ETA) is False
             assert SwarmGroup.recompute_rates_all_incremental(None) is False
             assert Swarm._neighbor_topology is neighbor_topology_rebuild
+            assert RateWindow.due is win_due_scan
         assert _production_attrs() == before
 
     def test_hooks_restore_on_error(self):
