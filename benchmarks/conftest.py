@@ -11,7 +11,10 @@ Every benchmark test additionally runs under a fresh
 into ``results/BENCH_results.json`` -- per-test wall-clock, peak process
 RSS plus every obs counter the run produced -- so CI can archive
 machine-readable evidence alongside the human-readable pytest-benchmark
-table.  Records of tests this session did not run are kept.
+table.  Records of tests this session did not run are kept, except ids
+that no longer exist: when a bench file was collected but one of its
+recorded ids was neither run nor deselected, that id is dropped (a
+renamed or removed parametrisation must not linger as a baseline).
 
 Memory is tracked via ``getrusage`` high-water marks: ``max_rss_kb`` is
 the process peak after the test and ``rss_growth_kb`` how much this test
@@ -37,6 +40,9 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 #: test nodeid -> {"wall_clock_s": ..., "counters": {...}}, in run order
 _BENCH_RECORDS: dict[str, dict] = {}
+
+#: every nodeid this session collected, selected or deselected
+_COLLECTED: set[str] = set()
 
 
 @pytest.fixture(scope="session")
@@ -86,12 +92,24 @@ def pytest_runtest_call(item):
     }
 
 
-def write_results(path: Path, records: dict[str, dict], exit_status: int) -> None:
+def _file_of(nodeid: str) -> str:
+    return nodeid.split("::", 1)[0]
+
+
+def write_results(
+    path: Path,
+    records: dict[str, dict],
+    exit_status: int,
+    collected: frozenset[str] | set[str] = frozenset(),
+) -> None:
     """Merge this session's per-test ``records`` into the results file.
 
     Tests run in earlier sessions keep their records, so running one bench
     file does not erase every other bench's baseline; a test that ran again
-    takes this session's record.  An unreadable file is replaced.
+    takes this session's record.  A recorded id whose file this session
+    collected but which is not among the ``collected`` ids (run or
+    deselected) no longer exists and is dropped.  An unreadable file is
+    replaced.
     """
     merged: dict[str, dict] = {}
     try:
@@ -99,7 +117,12 @@ def write_results(path: Path, records: dict[str, dict], exit_status: int) -> Non
     except (OSError, ValueError):
         previous = None
     if isinstance(previous, dict) and isinstance(previous.get("results"), dict):
-        merged.update(previous["results"])
+        seen_files = {_file_of(nodeid) for nodeid in collected}
+        merged.update(
+            (nodeid, record)
+            for nodeid, record in previous["results"].items()
+            if nodeid in collected or _file_of(nodeid) not in seen_files
+        )
     merged.update(records)
     payload = {
         "schema": "repro-bt/bench-results/v1",
@@ -110,8 +133,18 @@ def write_results(path: Path, records: dict[str, dict], exit_status: int) -> Non
     path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
+def pytest_deselected(items):
+    _COLLECTED.update(item.nodeid for item in items)
+
+
+def pytest_collection_finish(session):
+    _COLLECTED.update(item.nodeid for item in session.items)
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _BENCH_RECORDS:
         return
     RESULTS_DIR.mkdir(exist_ok=True)
-    write_results(RESULTS_DIR / "BENCH_results.json", _BENCH_RECORDS, exitstatus)
+    write_results(
+        RESULTS_DIR / "BENCH_results.json", _BENCH_RECORDS, exitstatus, _COLLECTED
+    )

@@ -50,8 +50,8 @@ def test_bench_chunk_round_speedup(benchmark):
     This is the PR's headline acceptance number: the scalar engine walks
     every (uploader, receiver) pair and every piece bitmap in Python; the
     vectorised engine runs interest as one boolean matmul over the
-    ownership matrix, choking as row-wise stable ranking of the received
-    matrix, and transfer accounting as scatter-adds into the store.
+    ownership matrix, choking as one batched tit-for-tat ranking of
+    every row, and transfer accounting as scatter-adds into the store.
     Both engines advance the *same* swarm trajectory (same seed), so the
     timing compares identical work -- and the accounting afterwards must
     match bit for bit.

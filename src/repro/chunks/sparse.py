@@ -218,13 +218,15 @@ class SparseChunkSwarm(_RoundEngine):
             np.logical_and(lacks, valid, out=interest[b0:b1])
         return interest
 
-    def _neighbor_rows(self, u: int, cols: np.ndarray) -> np.ndarray:
-        """Peer rows of ``u``'s interest columns (edge positions)."""
-        return self.store.nbr[u, cols]
+    def _neighbor_rows(self, rows: np.ndarray | int, cols: np.ndarray) -> np.ndarray:
+        """Peer rows of the interest entries ``(rows, cols)`` (edge
+        positions)."""
+        return self.store.nbr[rows, cols]
 
-    def _received_last_round(self, u: int, cols: np.ndarray) -> np.ndarray:
-        """Bytes ``u`` received last round over those edges."""
-        return self.store.r_prev_e[u, cols]
+    def _received_last_round(self, n: int) -> np.ndarray:
+        """``[u, j]``: bytes ``u`` received last round over edge ``j``,
+        aligned with ``_interest(n)``."""
+        return self.store.r_prev_e[:n]
 
     def _pick_state(self, n: int) -> np.ndarray:
         """Per-chunk availability, local counts plus the other shards'."""

@@ -10,19 +10,25 @@ round: the dense :class:`ChunkSwarm` here (full mixing, a
 round: :class:`_RoundEngine` holds the accounting, membership, the one
 departure path (churn, completions, shard emigration), the seed policies
 and tit-for-tat choking, the round loop and ``run``.  Each engine adds
-only its store and kernels -- interest, how a choke column maps to a peer
-row and its last-round bytes, the round-local pick state,
-``_pick_chunk``/``_transfer`` and the per-link tit-for-tat credit.  The
-dense kernels:
+only its store and kernels -- interest, how choke columns map to peer
+rows, the last-round bytes aligned with the interest matrix, the
+round-local pick state, ``_pick_chunk``/``_transfer`` and the per-link
+tit-for-tat credit.  The dense kernels:
 
 * **Interest** is one boolean matmul over the P x C ownership matrix:
   ``interest[u, d] = (own[u] & ~own[d]).any()`` via
   ``own @ (1 - own).T > 0`` -- the scalar engine's P^2 bitmap scans
   collapse into a single BLAS call.
-* **Tit-for-tat choking** ranks each downloader's interested peers with a
-  stable argsort over one row of the P x P received-bytes matrix; the
-  seed policies read a rotation-cursor array, the per-receiver received
-  totals, or draw from the RNG exactly as the scalar engine does.
+* **Tit-for-tat choking** ranks every downloader row in one pass
+  (``_RoundEngine._choke``): the regular slots come from the few peers
+  that uploaded to the row last round -- the positive entries of the
+  received-bytes matrix, sorted by bytes then column -- topped up with
+  the row's first interested columns, and the optimistic slot is the
+  j-th remaining interested column, located through a rank/select index
+  over the packed interest rows.  Only the RNG draws stay per row, in row
+  order; the seed policies keep their per-row code and read a
+  rotation-cursor array, the per-receiver received totals, or draw from
+  the RNG exactly as the scalar engine does.
 * **Local rarest first** runs on round-local row bitsets: the transfer
   phase packs the ownership and live-partial rows into one Python ``int``
   per peer (bit i = chunk i), so a pick's masks are integer ``&``/``~``
@@ -62,7 +68,13 @@ from repro.obs import current_registry
 
 __all__ = ["ChunkSwarm"]
 
-_EMPTY_ROWS = np.empty(0, dtype=np.intp)
+#: what ``_choke`` counts per round: downloader rows ranked by tit-for-tat,
+#: optimistic draws, and seed rows run through ``config.seed_unchoke``
+_CHOKE_COUNTERS = (
+    "chunks.kernel.choke.ranked_rows",
+    "chunks.kernel.choke.optimistic_draws",
+    "chunks.kernel.choke.seed_policy_rows",
+)
 
 
 def _pack_rows(mask: np.ndarray) -> list[int]:
@@ -83,6 +95,59 @@ def _bit_indices(bits: int) -> list[int]:
         low = bits & -bits
         out.append(low.bit_length() - 1)
         bits ^= low
+    return out
+
+
+#: set bits per byte value, and the position of each byte value's t-th set
+#: bit (bit 0 first, as ``np.packbits(..., bitorder="little")`` lays out)
+_POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+_SELECT8 = np.array(
+    [[([b for b in range(8) if v >> b & 1] + [0] * 8)[t] for t in range(8)]
+     for v in range(256)],
+    dtype=np.uint8,
+)
+
+
+class _RankSelect:
+    """Rank and select over the True entries of each row of a boolean
+    matrix, vectorised over queries: the rows are packed into bytes and a
+    per-row running count of set bits locates any entry in two lookups."""
+
+    def __init__(self, mask: np.ndarray):
+        self.packed = np.packbits(mask, axis=1, bitorder="little")
+        pop = _POP8[self.packed]
+        #: set bits in bytes ``0..b`` of each row
+        self.through = np.cumsum(pop, axis=1, dtype=np.int32)
+        self.count = pop.sum(axis=1, dtype=np.int64)
+
+    def _before(self, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Set bits in bytes ``0..b-1`` of each row."""
+        return self.through[rows, b] - _POP8[self.packed[rows, b]]
+
+    def rank(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """How many True entries precede column ``cols`` in row ``rows``."""
+        b = cols >> 3
+        below = ((1 << (cols & 7)) - 1).astype(np.uint8)
+        return self._before(rows, b) + _POP8[self.packed[rows, b] & below]
+
+    def select(self, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Column of the ``ks``-th True entry (0-based) of row ``rows``."""
+        b = (self.through[rows] <= ks[:, None]).sum(axis=1)
+        return (b << 3) + _SELECT8[self.packed[rows, b], ks - self._before(rows, b)]
+
+
+def _run_positions(rows: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal values (``rows``
+    sorted ascending)."""
+    return np.arange(rows.size) - np.searchsorted(rows, rows)
+
+
+def _skip_taken(taken: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """The ``js``-th non-negative integer missing from each row of ``taken``
+    (one row per entry of ``js``)."""
+    out = js.astype(np.int64)
+    for ranks in np.sort(taken, axis=1).T:
+        out += ranks <= out
     return out
 
 
@@ -210,49 +275,134 @@ class _RoundEngine:
 
     # ----- choking ------------------------------------------------------------
 
-    def _select_rows(self, u: int, cols: np.ndarray, is_seed_u: bool) -> np.ndarray:
-        """Rows ``u`` serves this round.
+    def _seed_rows(self, u: int, cols: np.ndarray) -> list[int]:
+        """Rows seed ``u`` serves this round under ``config.seed_unchoke``.
 
         ``cols`` are the interested entries of ``u``'s interest row (see
         ``_interest``), ascending, i.e. in the oracle's insertion order.
         """
         cfg = self.config
         st = self.store
-        rng = self.rng
         irows = self._neighbor_rows(u, cols)
-        if is_seed_u:
-            k = min(cfg.total_slots, irows.size)
-            policy = cfg.seed_unchoke
-            if policy == "round_robin":
-                start = int(st.rotation_cursor[u]) % irows.size
-                st.rotation_cursor[u] = start + k
-                return irows[(start + np.arange(k)) % irows.size]
-            if policy == "fastest":
-                order = np.argsort(-st.recv_total_prev[irows], kind="stable")
-                return irows[order[:k]]
-            return rng.choice(irows, size=k, replace=False)
-        # Tit-for-tat: rank by bytes received from them last round.
-        order = np.argsort(-self._received_last_round(u, cols), kind="stable")
-        top = order[: cfg.n_upload_slots]
-        regular = irows[top]
-        if cfg.optimistic_slots > 0 and irows.size > regular.size:
-            rest_mask = np.ones(irows.size, dtype=bool)
-            rest_mask[top] = False
-            rest = irows[rest_mask]
-            k = min(cfg.optimistic_slots, rest.size)
-            optimistic = rng.choice(rest, size=k, replace=False)
-            return np.concatenate((regular, optimistic))
-        return regular
+        k = min(cfg.total_slots, irows.size)
+        policy = cfg.seed_unchoke
+        if policy == "round_robin":
+            start = int(st.rotation_cursor[u]) % irows.size
+            st.rotation_cursor[u] = start + k
+            return irows[(start + np.arange(k)) % irows.size].tolist()
+        if policy == "fastest":
+            order = np.argsort(-st.recv_total_prev[irows], kind="stable")
+            return irows[order[:k]].tolist()
+        return self.rng.choice(irows, size=k, replace=False).tolist()
+
+    def _choke(
+        self, interest: np.ndarray, lo: int = 0
+    ) -> tuple[list[list[int]], tuple[int, int, int]]:
+        """Whom each of the rows ``lo, lo + 1, ...`` serves this round.
+
+        ``interest`` holds those rows of ``_interest``.  Returns one list
+        of served peer rows per row (regular slots first, then the
+        optimistic ones) and the ``_CHOKE_COUNTERS`` tallies.
+
+        A downloader ranks its interested columns by the bytes it received
+        over them last round, stably: the columns with positive bytes in
+        descending order (ties by column), then the zero columns in
+        ascending order.  So the ``n_upload_slots`` regular slots need only
+        the sparse positives plus the first few interested columns, and
+        everything works in *rank space* -- a column's position among its
+        row's interested columns -- through one rank/select index over the
+        packed interest rows.  RNG draws still fire per row, in row order,
+        with the oracle's population sizes: a seed row runs its policy
+        (``_seed_rows``), a downloader draws ``rng.integers(len(rest))``,
+        the same stream as the oracle's ``rng.choice(rest, size=1,
+        replace=False)``, or ``rng.choice(len(rest), size=k,
+        replace=False)`` for ``k > 1`` optimistic slots (pinned by
+        tests/chunks/test_rng_draws.py).
+        """
+        cfg = self.config
+        st = self.store
+        rng = self.rng
+        slots = cfg.n_upload_slots
+        m = interest.shape[0]
+        index = _RankSelect(interest)
+        cnt = index.count
+        is_dl = st.n_owned[lo : lo + m] < st.n_chunks
+        ranked = is_dl & (cnt > 0)
+
+        # Regular slots: each row's interested positive columns by (bytes
+        # descending, column), topped up with its first zero columns.
+        recv = self._received_last_round(st.n)[lo : lo + m]
+        # (a 1-D nonzero over a bool mask is several times a 2-D one)
+        pr, pc = np.divmod(np.flatnonzero(recv > 0), recv.shape[1])
+        keep = ranked[pr] & interest[pr, pc]
+        pr, pc = pr[keep], pc[keep]
+        order = np.lexsort((pc, -recv[pr, pc], pr))
+        pr, pc = pr[order], pc[order]
+        slot = _run_positions(pr)
+        top = slot < slots
+        pr, pc, slot = pr[top], pc[top], slot[top]
+        # regular ranks per row, padded with a rank no row reaches
+        reg = np.full((m, slots), np.iinfo(np.int64).max, dtype=np.int64)
+        reg[pr, slot] = index.rank(pr, pc)
+        # a row with free slots has all its positives in ``reg``, so its
+        # zero columns are exactly the ranks ``reg`` leaves out
+        n_top = np.bincount(pr, minlength=m)
+        n_fill = np.where(ranked, np.minimum(slots, cnt) - n_top, 0)
+        fill_rows = np.repeat(np.arange(m), n_fill)
+        fill_slot = _run_positions(fill_rows)
+        fill_rank = _skip_taken(reg[fill_rows], fill_slot)
+        fill_slot += n_top[fill_rows]
+        reg[fill_rows, fill_slot] = fill_rank
+
+        # Per-row RNG, in row order: seed policies and optimistic draws of
+        # the j-th interested column outside the regular slots.
+        opt = cfg.optimistic_slots
+        rest = np.where(ranked, cnt - np.minimum(slots, cnt), 0)
+        drawing = (rest > 0) & (opt > 0)
+        seeds = ~is_dl & (cnt > 0)
+        served: dict[int, list[int]] = {}
+        draw_rows: list[int] = []
+        draws: list[int] = []
+        is_seed = seeds.tolist()
+        sizes = rest.tolist()
+        for u in np.flatnonzero(seeds | drawing).tolist():
+            if is_seed[u]:
+                served[u] = self._seed_rows(lo + u, np.flatnonzero(interest[u]))
+            elif opt == 1:
+                draw_rows.append(u)
+                draws.append(rng.integers(sizes[u]))
+            else:
+                k = min(opt, sizes[u])
+                draw_rows.extend([u] * k)
+                draws.extend(rng.choice(sizes[u], size=k, replace=False))
+        opt_rows = np.asarray(draw_rows, dtype=np.intp)
+        opt_rank = _skip_taken(reg[opt_rows], np.asarray(draws, dtype=np.int64))
+        opt_slot = slots + _run_positions(opt_rows)
+
+        rows = np.concatenate((pr, fill_rows, opt_rows))
+        cols = np.concatenate(
+            (
+                pc,
+                index.select(fill_rows, fill_rank),
+                index.select(opt_rows, opt_rank),
+            )
+        )
+        order = np.lexsort((np.concatenate((slot, fill_slot, opt_slot)), rows))
+        rows = rows[order]
+        flat = self._neighbor_rows(lo + rows, cols[order]).tolist()
+        out: list[list[int]] = []
+        at = 0
+        for u, k in enumerate(np.bincount(rows, minlength=m).tolist()):
+            out.append(served[u] if u in served else flat[at : at + k])
+            at += k
+        return out, (int(ranked.sum()), int(drawing.sum()), len(served))
 
     def _select_unchoked(self, uploader: ChunkPeerView) -> list[int]:
         """Whom ``uploader`` serves this round (peer ids)."""
         st = self.store
         u = st.row_of[uploader.peer_id]
-        cols = np.nonzero(self._interest(st.n)[u])[0]
-        if cols.size == 0:
-            return []
-        is_seed_u = int(st.n_owned[u]) == st.n_chunks
-        return [int(pid) for pid in st.peer_id[self._select_rows(u, cols, is_seed_u)]]
+        served = self._choke(self._interest(st.n)[u : u + 1], u)[0][0]
+        return [int(pid) for pid in st.peer_id[served]]
 
     # ----- the round ----------------------------------------------------------
 
@@ -273,16 +423,12 @@ class _RoundEngine:
 
         n_owned = st.n_owned
         was_dl = n_owned[:n] < C
-        receivers_per: list[np.ndarray] = []
-        for u in range(n):
-            cols = np.nonzero(interest[u])[0]
-            if cols.size == 0:
-                receivers_per.append(_EMPTY_ROWS)
-            else:
-                receivers_per.append(self._select_rows(u, cols, not was_dl[u]))
+        receivers_per, choke_counts = self._choke(interest)
         if obs:
             t2 = time.perf_counter()
             reg.observe("chunks.kernel.choke", t2 - t1)
+            for name, value in zip(_CHOKE_COUNTERS, choke_counts):
+                reg.inc(name, value)
 
         round_start = (
             self.downloader_useful,
@@ -306,12 +452,11 @@ class _RoundEngine:
             else:
                 self.seed_capacity += budget
             receivers = receivers_per[u]
-            if receivers.size == 0:
+            if not receivers:
                 continue
-            n_links += receivers.size
-            per_link = budget / receivers.size
+            n_links += len(receivers)
+            per_link = budget / len(receivers)
             for r in receivers:
-                r = int(r)
                 sent = self._transfer(
                     u, r, per_link, state, uploader_is_downloader=u_is_dl
                 )
@@ -390,13 +535,15 @@ class ChunkSwarm(_RoundEngine):
         ownf = self.store.own[:n].astype(np.float32)
         return (ownf @ (1.0 - ownf).T) > 0.5
 
-    def _neighbor_rows(self, u: int, cols: np.ndarray) -> np.ndarray:
-        """Peer rows of ``u``'s interest columns (here the columns are rows)."""
+    def _neighbor_rows(self, rows: np.ndarray | int, cols: np.ndarray) -> np.ndarray:
+        """Peer rows of the interest entries ``(rows, cols)`` (here the
+        columns are rows)."""
         return cols
 
-    def _received_last_round(self, u: int, cols: np.ndarray) -> np.ndarray:
-        """Bytes ``u`` received last round from each of those peers."""
-        return self.store.r_prev[u, cols]
+    def _received_last_round(self, n: int) -> np.ndarray:
+        """``[u, d]``: bytes ``u`` received from ``d`` last round, aligned
+        with ``_interest(n)``."""
+        return self.store.r_prev[:n, :n]
 
     def _pick_state(self, n: int) -> tuple:
         """Round-local row bitsets (bit i = chunk i) mirroring the ownership,

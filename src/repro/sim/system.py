@@ -257,9 +257,12 @@ class SimulationSystem:
 
     @staticmethod
     def _user_in_swarm(swarm: Swarm, user_id: int) -> bool:
-        if user_id in swarm.real_seeds or user_id in swarm.virtual_seeds:
-            return True
-        return any(key[0] == user_id for key in swarm.downloaders)
+        # a per-file swarm keys its downloads (user_id, swarm.file_id)
+        return (
+            user_id in swarm.real_seeds
+            or user_id in swarm.virtual_seeds
+            or (user_id, swarm.file_id) in swarm.downloaders
+        )
 
     def _tracker_join(self, file_id: int, user_id: int, *, is_seeder: bool) -> None:
         if self.tracker is None:

@@ -37,3 +37,58 @@ class TestWriteResults:
         path.write_text("{not json")
         bench_conftest.write_results(path, {"b": _record(2.0)}, 0)
         assert list(json.loads(path.read_text())["results"]) == ["b"]
+
+
+class TestStaleIds:
+    """A recorded id is dropped only when its file was collected this
+    session and the id itself was neither run nor deselected."""
+
+    SOLVERS = "benchmarks/test_bench_solvers.py::test_steady"
+    CHUNKS = "benchmarks/test_bench_chunks.py::test_round"
+
+    def _baseline(self, tmp_path) -> Path:
+        path = tmp_path / "BENCH_results.json"
+        bench_conftest.write_results(
+            path,
+            {
+                f"{self.SOLVERS}[anderson]": _record(1.0),
+                f"{self.SOLVERS}[newton]": _record(2.0),
+                f"{self.CHUNKS}[dense]": _record(3.0),
+            },
+            0,
+        )
+        return path
+
+    @staticmethod
+    def _ids(path: Path) -> list[str]:
+        return list(json.loads(path.read_text())["results"])
+
+    def test_full_session_drops_ids_that_no_longer_exist(self, tmp_path):
+        path = self._baseline(tmp_path)
+        ran = {
+            f"{self.SOLVERS}[ptc]": _record(4.0),
+            f"{self.CHUNKS}[dense]": _record(5.0),
+        }
+        bench_conftest.write_results(path, ran, 0, set(ran))
+        assert self._ids(path) == [f"{self.CHUNKS}[dense]", f"{self.SOLVERS}[ptc]"]
+
+    def test_keyword_filtered_session_keeps_deselected_ids(self, tmp_path):
+        path = self._baseline(tmp_path)
+        ran = {f"{self.SOLVERS}[ptc]": _record(4.0)}
+        deselected = {f"{self.SOLVERS}[newton]", f"{self.CHUNKS}[dense]"}
+        bench_conftest.write_results(path, ran, 0, set(ran) | deselected)
+        assert self._ids(path) == [
+            f"{self.SOLVERS}[newton]",
+            f"{self.CHUNKS}[dense]",
+            f"{self.SOLVERS}[ptc]",
+        ]
+
+    def test_single_file_session_keeps_other_files(self, tmp_path):
+        path = self._baseline(tmp_path)
+        ran = {f"{self.CHUNKS}[sparse]": _record(6.0)}
+        bench_conftest.write_results(path, ran, 0, set(ran))
+        assert self._ids(path) == [
+            f"{self.SOLVERS}[anderson]",
+            f"{self.SOLVERS}[newton]",
+            f"{self.CHUNKS}[sparse]",
+        ]
