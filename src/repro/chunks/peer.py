@@ -7,8 +7,8 @@ Two representations share one attribute vocabulary:
 * :class:`ChunkPeerView` -- a live *view* of one row of an array-backed
   store (:class:`repro.chunks.store.ChunkStore` or
   :class:`repro.chunks.sparse_store.SparseChunkStore`; both inherit the
-  same per-peer row arrays and add the ``partials_dict`` /
-  ``received_dict`` / ``active_chunk_set`` reconstruction protocol).  Attribute access
+  same per-peer rows with the ``partials_dict`` / ``active_chunk_set``
+  accessors and add ``received_dict``).  Attribute access
   resolves the peer's current row on every read, so views stay valid
   across store compactions; when the peer leaves the swarm the view is
   detached onto a frozen :class:`ChunkPeer` snapshot and keeps answering

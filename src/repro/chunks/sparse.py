@@ -2,7 +2,8 @@
 
 Runs the same round as the dense :class:`repro.chunks.swarm.ChunkSwarm`
 -- both inherit it from :class:`repro.chunks.swarm._RoundEngine`, which
-owns membership, departures, choking, the round loop and ``run`` -- but
+owns membership, departures, choking, rarest-first picking, transfer,
+the round loop and ``run`` -- but
 peers only see a tracker-sampled neighborhood instead of the whole swarm,
 and the state lives in a :class:`repro.chunks.sparse_store.SparseChunkStore`
 so memory is O(peers * degree) rather than O(peers^2).  What this engine
@@ -22,9 +23,11 @@ adds:
   complement, reduce -- O(edges * words) instead of a P x P matmul.  Its
   columns are edge positions, so choking ranks on the edge-aligned
   received-bytes columns.
-* **Transfer** keeps the oracle's per-link dict/set bookkeeping
-  (partials are a per-peer dict, O(slots) entries), so the float
-  accumulation order is the scalar engine's by construction.
+* **Tit-for-tat credit** lands in the edge-aligned received-bytes
+  column of the link (``edge_index``), and rarest-first counts the other
+  shards' pieces too (``_pick_availability``).  Picking and transfer
+  themselves are the shared ``_RoundEngine`` kernels over the store's
+  per-row partial dicts, the same as the dense engine's.
 
 **Bit-for-bit equivalence.**  With ``neighbor_degree=None`` every
 adjacency row enumerates all other peers in ascending row == insertion
@@ -228,61 +231,19 @@ class SparseChunkSwarm(_RoundEngine):
         aligned with ``_interest(n)``."""
         return self.store.r_prev_e[:n]
 
-    def _pick_state(self, n: int) -> np.ndarray:
-        """Per-chunk availability, local counts plus the other shards'."""
+    def _credit(self, r: int, u: int, sent: float) -> None:
+        """Tit-for-tat: ``r`` received ``sent`` bytes over its edge to ``u``
+        this round."""
+        st = self.store
+        st.r_cur_e[r, st.edge_index(r, u)] += sent
+
+    def _pick_availability(self) -> np.ndarray:
+        """Per-chunk counts rarest-first ranks by: local ownership plus the
+        other shards' counts for this round."""
         availability = self.availability()
         if self._external is not None:
             availability = availability + np.asarray(self._external, dtype=int)
         return availability
-
-    def _pick_chunk(self, r: int, u: int, availability: np.ndarray) -> int | None:
-        """Local rarest first among needed, offered, not-in-flight chunks.
-
-        Dict/set port of the oracle's ``_pick_chunk``; consumes the RNG at
-        exactly the same call sites with the same population sizes.
-        """
-        st = self.store
-        candidates = st.own[u] & ~st.own[r]
-        partials = st.partials[r]
-        active = st.active[r]
-        # Resume a partial chunk first (block re-request from anyone),
-        # preferring the most-complete one; ties go to the oldest partial
-        # (dict-insertion order, like the scalar engine).
-        resumable = [
-            chunk for chunk in partials
-            if candidates[chunk] and chunk not in active
-        ]
-        if resumable:
-            return int(max(resumable, key=lambda ch: partials[ch][0]))
-        fresh = candidates.copy()
-        for chunk in active:
-            fresh[chunk] = False
-        for chunk in partials:
-            fresh[chunk] = False
-        idx = np.nonzero(fresh)[0]
-        if idx.size == 0:
-            # Endgame mode: join an actively transferring chunk rather than
-            # idle the link (block-level parallelism, no byte duplication in
-            # this model's granularity).
-            idx = np.nonzero(candidates)[0]
-            if idx.size == 0:
-                return None
-        if self.config.super_seeding and st.initially_seed[u]:
-            # Super-seeding: the origin doles out its least-offered pieces
-            # first, maximising diversity during the bootstrap.
-            offers = st.offered[u, idx]
-            idx = idx[offers == offers.min()]
-        if self.config.piece_selection == "in_order":
-            # Streaming policy: lowest index first (sequential playback).
-            rarest = idx[idx == idx.min()]
-        else:
-            rarity = availability[idx]
-            rarest = idx[rarity == rarity.min()]
-        # Same stream as ``rng.choice(rarest)``; the dense engine draws
-        # the same way (pinned by tests/chunks/test_rng_draws.py).
-        chunk = int(rarest[self.rng.integers(rarest.size)])
-        st.offered[u, chunk] += 1
-        return chunk
 
     # ----- the round ----------------------------------------------------------
 
@@ -296,57 +257,6 @@ class SparseChunkSwarm(_RoundEngine):
         """
         self._external = external_availability
         super().run_round()
-
-    def _transfer(
-        self,
-        u: int,
-        r: int,
-        amount: float,
-        availability: np.ndarray,
-        *,
-        uploader_is_downloader: bool,
-    ) -> float:
-        """Move up to ``amount`` work units across one unchoked link.
-
-        Dict-based port of the oracle's ``_transfer`` (same float ops in
-        the same order); usefulness is credited per completed chunk.
-        """
-        st = self.store
-        chunk_size = self.config.chunk_size
-        threshold = chunk_size - 1e-15
-        partials = st.partials[r]
-        active = st.active[r]
-        picks = 0
-        sent = 0.0
-        while amount > 1e-15:
-            chunk = self._pick_chunk(r, u, availability)
-            if chunk is None:
-                break  # nothing useful to send
-            picks += 1
-            entry = partials.setdefault(chunk, [0.0, 0.0, 0.0])
-            active.add(chunk)
-            need = chunk_size - entry[0]
-            step = need if need < amount else amount
-            entry[0] += step
-            amount -= step
-            sent += step
-            if uploader_is_downloader:
-                entry[1] += step
-            else:
-                entry[2] += step
-            st.uploaded_useful[u] += step
-            if entry[0] >= threshold:
-                st.set_owned(r, chunk)
-                availability[chunk] += 1
-                self.downloader_useful += entry[1]
-                self.seed_useful += entry[2]
-                partials.pop(chunk)
-                active.discard(chunk)
-        self._round_picks += picks
-        if sent > 0:
-            # Tit-for-tat ranks by transfer effort, duplicates and all.
-            st.r_cur_e[r, st.edge_index(r, u)] += sent
-        return sent
 
     # ----- shard migration ----------------------------------------------------
 

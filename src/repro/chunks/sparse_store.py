@@ -1,12 +1,13 @@
 """Bounded-degree structure-of-arrays state for the sparse chunk engine.
 
 The dense :class:`repro.chunks.store.ChunkStore` keeps P x P received
-matrices and P x C partial matrices, which caps it near a few thousand
-peers.  :class:`SparseChunkStore` shares the dense store's per-peer rows
+matrices, which caps it near a few thousand peers.
+:class:`SparseChunkStore` shares the dense store's per-peer rows
 (:class:`repro.chunks.store._PeerRows`: the per-peer vectors, ``own``,
-add/resize/compaction and the shrink policy) and replaces both matrices
-with neighborhood-local state, so memory is O(P * d) in the sampled
-degree ``d``:
+``offered``, the ``partials`` dicts and ``active`` sets,
+add/resize/compaction and the shrink policy) and replaces the P x P
+matrices with neighborhood-local state, so apart from the shared P x C
+ownership and offer rows memory is O(P * d) in the sampled degree ``d``:
 
 * ``nbr`` / ``deg`` -- padded adjacency: row ``r`` of the P x width int32
   matrix lists the store rows ``r`` is connected to, **sorted ascending**,
@@ -22,15 +23,7 @@ degree ``d``:
 * ``own_packed`` -- a bit-packed uint64 shadow of the shared ``own``
   matrix (``ceil(C/64)`` words per peer), maintained incrementally.  The
   packed form makes the per-neighborhood interest kernel a few-word AND
-  instead of a C-wide row scan.
-* ``partials`` / ``active`` -- per-peer Python dict/set state exactly as
-  the scalar oracle keeps it (``chunk -> [done, credit_dl, credit_seed]``
-  in creation order, and the in-flight chunk set).  Partials are O(slots)
-  per peer in practice, so dicts beat the dense engine's P x C partial
-  matrices by orders of magnitude at scale and reproduce the oracle's
-  dict-insertion tie-breaking for free.
-* ``offered`` -- P x C int32 offer counts (super-seeding); the one
-  remaining dense per-chunk array, 4 bytes per cell.
+  instead of a C-wide row scan; :meth:`set_owned` keeps it in step.
 
 Rows stay **in peer-insertion order** exactly as in the dense store;
 removal compacts rows *and* edges (stable left-shift of surviving edges,
@@ -52,7 +45,6 @@ class SparseChunkStore(_PeerRows):
 
     _ROWS = _PeerRows._ROWS + (
         ("own_packed", 0),
-        ("offered", 0),
         ("nbr", -1),
         ("deg", 0),
         ("r_prev_e", 0.0),
@@ -77,11 +69,6 @@ class SparseChunkStore(_PeerRows):
         c = self._cap
         w = self._width
         self.own_packed = np.zeros((c, W), dtype=np.uint64)
-        self.offered = np.zeros((c, C), dtype=np.int32)
-        #: chunk -> [done, credit_downloader, credit_seed], creation order
-        self.partials: list[dict[int, list[float]]] = []
-        #: chunks some link is pumping this round (cleared at rollover)
-        self.active: list[set[int]] = []
         self.nbr = np.full((c, w), -1, dtype=np.int32)
         self.deg = np.zeros(c, dtype=np.int32)
         self.r_prev_e = np.zeros((c, w), dtype=np.float64)
@@ -94,8 +81,6 @@ class SparseChunkStore(_PeerRows):
         row = super().add(peer_id, is_seed=is_seed, joined_at=joined_at)
         if is_seed:
             self.own_packed[row] = self._full_words
-        self.partials.append({})
-        self.active.append(set())
         return row
 
     def _grow_width(self, needed: int) -> None:
@@ -207,8 +192,6 @@ class SparseChunkStore(_PeerRows):
         self.r_prev_e[:n] = np.where(live, rp, 0.0)
         self.r_cur_e[:n] = np.where(live, rc, 0.0)
         self.deg[:n] = new_deg
-        self.partials = [p for i, p in enumerate(self.partials) if keep[i]]
-        self.active = [s for i, s in enumerate(self.active) if keep[i]]
 
     # ----- round bookkeeping --------------------------------------------------
 
@@ -219,14 +202,11 @@ class SparseChunkStore(_PeerRows):
         self.r_prev_e, self.r_cur_e = self.r_cur_e, self.r_prev_e
         self.r_cur_e[:n] = 0.0
         super().rollover()
-        for s in self.active[:n]:
-            s.clear()
 
     def set_owned(self, row: int, chunk: int) -> None:
         """Flip one ownership bit (bool row, packed shadow, count)."""
-        self.own[row, chunk] = True
+        super().set_owned(row, chunk)
         self.own_packed[row, chunk >> 6] |= self._bit[chunk]
-        self.n_owned[row] += 1
 
     def repack_row(self, row: int) -> None:
         """Recompute the packed shadow and count from ``own[row]`` (used
@@ -239,11 +219,6 @@ class SparseChunkStore(_PeerRows):
 
     # ----- per-peer reconstruction (views / snapshots) ------------------------
 
-    def partials_dict(self, row: int) -> dict[int, list[float]]:
-        """``chunk -> [done, credit_downloader, credit_seed]`` in creation
-        order (the dicts already keep it)."""
-        return {c: list(entry) for c, entry in self.partials[row].items()}
-
     def received_dict(self, row: int, *, prev: bool) -> dict[int, float]:
         """Per-uploader received bytes (chunk of the tit-for-tat signal)."""
         mat = self.r_prev_e if prev else self.r_cur_e
@@ -252,13 +227,6 @@ class SparseChunkStore(_PeerRows):
         cols = np.nonzero(vals > 0)[0]
         nbrs = self.nbr[row, :d]
         return {int(self.peer_id[nbrs[j]]): float(vals[j]) for j in cols}
-
-    def active_chunk_set(self, row: int) -> set[int]:
-        """Chunks some link is pumping to ``row`` this round."""
-        return set(self.active[row])
-
-    def clear_partials(self, row: int) -> None:
-        self.partials[row].clear()
 
     # ----- introspection ------------------------------------------------------
 

@@ -3,34 +3,34 @@
 Both engines of :mod:`repro.chunks.swarm` keep every per-peer quantity of
 a swarm as contiguous NumPy rows, one row per peer.  :class:`_PeerRows`
 holds what the two stores share -- the per-peer vectors, the P x C
-ownership matrix, and everything that treats rows uniformly (add-time
-validation and zeroing, capacity doubling, order-preserving compaction,
-the shrink policy, the ``recv_total_*`` rollover) -- and each store adds
-its own two-dimensional state on top.  :class:`ChunkStore` (the dense
-engine's) adds P x P and P x C matrices:
+ownership and offer matrices, the partial-chunk state, and everything
+that treats rows uniformly (add-time validation and zeroing, capacity
+doubling, order-preserving compaction, the shrink policy, the round
+rollover) -- and each store adds its own peer-to-peer state on top:
 
 * ``own`` -- the P x C boolean ownership matrix (one row per peer, one
   column per chunk).  The dense interest step is one matmul over it.
-* ``partial_done`` / ``partial_dl`` / ``partial_sc`` / ``partial_seq`` --
-  P x C partial-download accounting: work units received, the split of
-  those units by uploader kind (downloader vs seed; banked as "useful" on
-  chunk completion), and a global creation sequence number.  ``seq > 0``
-  marks a live partial; the sequence number reproduces the scalar engine's
-  dict-insertion tie-breaking (oldest partial wins a resume tie).
-* ``active`` -- P x C "some link is pumping this chunk this round" flags,
-  cleared at round end.
-* ``offered`` -- P x C per-uploader offer counts (super-seeding picks the
-  least-offered piece).
-* ``r_prev`` / ``r_cur`` -- P x P received-bytes matrices driving the
-  tit-for-tat ranking; ``r_cur[receiver, uploader]`` accumulates this
-  round and rolls into ``r_prev`` at round end.
-* ``recv_total_prev`` / ``recv_total_cur`` (shared) -- per-receiver
-  running totals of the same bytes, accumulated link by link in transfer
-  order so they stay bit-identical to the scalar engine's
-  ``sum(dict.values())`` (which also sees uploaders in first-contribution
-  order).  Kept separate from the matrices because the scalar totals
-  *include* bytes from uploaders that have since left the swarm, while
-  their matrix rows are compacted away.
+* ``offered`` -- P x C int32 per-uploader offer counts (super-seeding
+  picks the least-offered piece).
+* ``partials`` / ``active`` -- one Python dict and one set per row,
+  exactly as the scalar oracle keeps them: ``chunk -> [done, credit_dl,
+  credit_seed]`` (work units received, split by uploader kind and banked
+  as "useful" on chunk completion) in creation order, and the chunks some
+  link is pumping to the row this round (cleared at round end).  A peer
+  holds O(upload slots) partials, so dicts beat P x C matrices by orders
+  of magnitude at scale, and their insertion order *is* the oracle's
+  resume tie-break (oldest partial wins) and write-off order.
+* ``recv_total_prev`` / ``recv_total_cur`` -- per-receiver running totals
+  of received bytes, accumulated link by link in transfer order so they
+  stay bit-identical to the scalar engine's ``sum(dict.values())`` (which
+  also sees uploaders in first-contribution order).  They *include* bytes
+  from uploaders that have since left the swarm, whose tit-for-tat
+  entries are compacted away.
+
+:class:`ChunkStore` (the dense engine's) adds the P x P received-bytes
+matrices ``r_prev`` / ``r_cur`` driving the tit-for-tat ranking:
+``r_cur[receiver, uploader]`` accumulates this round and rolls into
+``r_prev`` at round end.
 
 Rows are kept **in peer-insertion order** (peer ids are assigned
 monotonically, so row order == ascending id order).  This is load-bearing:
@@ -65,11 +65,13 @@ class _PeerRows:
     with the value a fresh row holds; :meth:`add`, :meth:`_resize` and
     :meth:`compact` treat them all alike, so a store lists its own
     row-major arrays there and extends these methods only for state that
-    is not one row per peer.
+    is not one row per peer.  The per-row ``partials`` dicts and
+    ``active`` sets are Python lists kept in step with the rows.
     """
 
     _ROWS: tuple[tuple[str, object], ...] = (
         ("own", False),
+        ("offered", 0),
         ("recv_total_prev", 0.0),
         ("recv_total_cur", 0.0),
         ("peer_id", 0),
@@ -93,6 +95,11 @@ class _PeerRows:
         self.row_of: dict[int, int] = {}
         c = self._cap
         self.own = np.zeros((c, self.n_chunks), dtype=bool)
+        self.offered = np.zeros((c, self.n_chunks), dtype=np.int32)
+        #: chunk -> [done, credit_downloader, credit_seed], creation order
+        self.partials: list[dict[int, list[float]]] = []
+        #: chunks some link is pumping this round (cleared at rollover)
+        self.active: list[set[int]] = []
         self.recv_total_prev = np.zeros(c, dtype=np.float64)
         self.recv_total_cur = np.zeros(c, dtype=np.float64)
         self.peer_id = np.zeros(c, dtype=np.int64)
@@ -129,6 +136,8 @@ class _PeerRows:
             self.finished_at[row] = joined_at
             self.initially_seed[row] = True
             self.n_owned[row] = self.n_chunks
+        self.partials.append({})
+        self.active.append(set())
         self.row_of[peer_id] = row
         return row
 
@@ -168,6 +177,8 @@ class _PeerRows:
         for name, _ in self._ROWS:
             arr = getattr(self, name)
             arr[:m] = arr[:n][keep]
+        self.partials = [p for p, k in zip(self.partials, keep) if k]
+        self.active = [a for a, k in zip(self.active, keep) if k]
         self.n = m
         for row, pid in enumerate(self.peer_id[:m]):
             self.row_of[int(pid)] = row
@@ -189,38 +200,47 @@ class _PeerRows:
     # ----- round bookkeeping --------------------------------------------------
 
     def rollover(self) -> None:
-        """Close the round: this round's received totals become last round's."""
+        """Close the round: this round's received totals become last
+        round's, and the in-flight chunk sets clear."""
         self.recv_total_prev, self.recv_total_cur = (
             self.recv_total_cur,
             self.recv_total_prev,
         )
         self.recv_total_cur[: self.n] = 0.0
+        for chunks in self.active:
+            chunks.clear()
+
+    def set_owned(self, row: int, chunk: int) -> None:
+        """Flip one ownership bit (and the row's owned count)."""
+        self.own[row, chunk] = True
+        self.n_owned[row] += 1
+
+    # ----- per-peer reconstruction (views / snapshots) ------------------------
+
+    def partials_dict(self, row: int) -> dict[int, list[float]]:
+        """``chunk -> [done, credit_downloader, credit_seed]`` in creation
+        order (a copy).
+
+        The order is the scalar engine's dict-insertion order, which the
+        resume tie-break and the engines' write-offs into ``wasted_bytes``
+        depend on.
+        """
+        return {c: list(entry) for c, entry in self.partials[row].items()}
+
+    def active_chunk_set(self, row: int) -> set[int]:
+        """Chunks some link is pumping to ``row`` this round."""
+        return set(self.active[row])
+
+    def clear_partials(self, row: int) -> None:
+        self.partials[row].clear()
 
 
 class ChunkStore(_PeerRows):
     """Array-backed state for one dense chunk-level swarm."""
 
-    _ROWS = _PeerRows._ROWS + (
-        ("partial_done", 0.0),
-        ("partial_dl", 0.0),
-        ("partial_sc", 0.0),
-        ("partial_seq", 0),
-        ("active", False),
-        ("offered", 0),
-    )
-
     def __init__(self, n_chunks: int, *, capacity: int = 16):
         super().__init__(n_chunks, capacity)
-        #: monotone creation counter for partial entries (0 = no partial)
-        self.partial_counter = 0
         c = self._cap
-        C = self.n_chunks
-        self.partial_done = np.zeros((c, C), dtype=np.float64)
-        self.partial_dl = np.zeros((c, C), dtype=np.float64)
-        self.partial_sc = np.zeros((c, C), dtype=np.float64)
-        self.partial_seq = np.zeros((c, C), dtype=np.int64)
-        self.active = np.zeros((c, C), dtype=bool)
-        self.offered = np.zeros((c, C), dtype=np.int64)
         self.r_prev = np.zeros((c, c), dtype=np.float64)
         self.r_cur = np.zeros((c, c), dtype=np.float64)
 
@@ -256,29 +276,8 @@ class ChunkStore(_PeerRows):
         self.r_prev, self.r_cur = self.r_cur, self.r_prev
         self.r_cur[:n, :n] = 0.0
         super().rollover()
-        self.active[:n] = False
-
-    def next_partial_seq(self) -> int:
-        self.partial_counter += 1
-        return self.partial_counter
 
     # ----- per-peer reconstruction (views / snapshots) ------------------------
-
-    def partials_dict(self, row: int) -> dict[int, list[float]]:
-        """``chunk -> [done, credit_downloader, credit_seed]`` in creation order.
-
-        Matches the scalar engine's dict-insertion ordering, which the
-        resume tie-break and the engines' write-offs into ``wasted_bytes``
-        depend on.
-        """
-        return {
-            int(c): [
-                float(self.partial_done[row, c]),
-                float(self.partial_dl[row, c]),
-                float(self.partial_sc[row, c]),
-            ]
-            for c in self.partial_chunks_in_order(row)
-        }
 
     def received_dict(self, row: int, *, prev: bool) -> dict[int, float]:
         """Per-uploader received bytes (chunk of the tit-for-tat signal)."""
@@ -286,19 +285,3 @@ class ChunkStore(_PeerRows):
         vals = mat[row, : self.n]
         cols = np.nonzero(vals > 0)[0]
         return {int(self.peer_id[c]): float(vals[c]) for c in cols}
-
-    def partial_chunks_in_order(self, row: int) -> np.ndarray:
-        """Chunks with live partials, in creation (dict-insertion) order."""
-        seq_row = self.partial_seq[row]
-        chunks = np.nonzero(seq_row > 0)[0]
-        return chunks[np.argsort(seq_row[chunks], kind="stable")]
-
-    def active_chunk_set(self, row: int) -> set[int]:
-        """Chunks some link is pumping to ``row`` this round."""
-        return {int(c) for c in np.nonzero(self.active[row])[0]}
-
-    def clear_partials(self, row: int) -> None:
-        self.partial_done[row] = 0.0
-        self.partial_dl[row] = 0.0
-        self.partial_sc[row] = 0.0
-        self.partial_seq[row] = 0

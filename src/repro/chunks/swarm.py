@@ -9,11 +9,12 @@ round: the dense :class:`ChunkSwarm` here (full mixing, a
 :class:`repro.chunks.sparse_store.SparseChunkStore`).  They share one
 round: :class:`_RoundEngine` holds the accounting, membership, the one
 departure path (churn, completions, shard emigration), the seed policies
-and tit-for-tat choking, the round loop and ``run``.  Each engine adds
-only its store and kernels -- interest, how choke columns map to peer
-rows, the last-round bytes aligned with the interest matrix, the
-round-local pick state, ``_pick_chunk``/``_transfer`` and the per-link
-tit-for-tat credit.  The dense kernels:
+and tit-for-tat choking, local rarest-first picking, transfer, the round
+loop and ``run``.  Each engine adds only its store and kernels --
+interest, how choke columns map to peer rows, the last-round bytes
+aligned with the interest matrix, the per-link tit-for-tat credit, and
+(sparse only) what rarest-first counts.  The dense kernels and the shared
+ones:
 
 * **Interest** is one boolean matmul over the P x C ownership matrix:
   ``interest[u, d] = (own[u] & ~own[d]).any()`` via
@@ -29,15 +30,19 @@ tit-for-tat credit.  The dense kernels:
   order; the seed policies keep their per-row code and read a
   rotation-cursor array, the per-receiver received totals, or draw from
   the RNG exactly as the scalar engine does.
-* **Local rarest first** runs on round-local row bitsets: the transfer
-  phase packs the ownership and live-partial rows into one Python ``int``
-  per peer (bit i = chunk i), so a pick's masks are integer ``&``/``~``
-  ops -- an empty candidate set (most calls) is one int test -- and the
-  tie-breaks and rarest filter run over the ascending index lists of the
-  set bits.  ``ChunkStore`` stays the only state between rounds.
-* **Transfer accounting** writes the P x C partial matrices and the
-  P x P received matrix in the scalar engine's order, and flips the
-  receiver's bits beside each write.
+* **Local rarest first** (shared) runs on round-local row bitsets: the
+  transfer phase packs the ownership rows and the keys of each row's
+  partial dict into one Python ``int`` per peer (bit i = chunk i), so a
+  pick's masks are integer ``&``/``~`` ops -- an empty candidate set
+  (most calls) is one int test -- and the tie-breaks and rarest filter
+  run over the ascending index lists of the set bits.  A resume tie goes
+  to the first entry of the row's partial dict with the largest ``done``,
+  the oldest partial, as in the scalar engine.  The store stays the only
+  state between rounds.
+* **Transfer accounting** (shared) writes the row's partial dict and
+  active set exactly as the scalar engine does, flips the receiver's bits
+  beside each write, and hands each link's bytes to the engine's
+  tit-for-tat credit (here the P x P received matrix).
 
 The engines are **bit-for-bit equivalent** to the reference: every RNG
 call site fires in the same order with the same population sizes (so the
@@ -155,14 +160,16 @@ class _RoundEngine:
     """The engine-independent part of a chunk round (see the module doc).
 
     Subclasses supply the store and the kernels: ``_interest``,
-    ``_neighbor_rows``, ``_received_last_round``, ``_pick_state`` and
-    ``_transfer`` (which also credits the link's tit-for-tat tally), plus
-    optionally the membership hooks ``_joined``, ``_completed`` and
-    ``_departed``.
+    ``_neighbor_rows``, ``_received_last_round`` and ``_credit`` (the
+    link's tit-for-tat tally), optionally ``_pick_availability`` (what
+    rarest-first counts) and the membership hooks ``_joined``,
+    ``_completed`` and ``_departed``.
     """
 
     def __init__(self, config: ChunkSwarmConfig, store: _PeerRows, seed: int):
         self.config = config
+        #: the work units of one chunk (fixed for the swarm's life)
+        self._chunk_size = config.chunk_size
         self.rng = np.random.default_rng(seed)
         self.store = store
         #: peer id -> live row view, in insertion order (== store row order)
@@ -211,7 +218,7 @@ class _RoundEngine:
     def _write_off(self, row: int) -> None:
         """Book ``row``'s unfinished partials as waste, in creation order."""
         st = self.store
-        for done, _, _ in st.partials_dict(row).values():
+        for done, _, _ in st.partials[row].values():
             self.wasted_bytes += done
         st.clear_partials(row)
 
@@ -404,6 +411,145 @@ class _RoundEngine:
         served = self._choke(self._interest(st.n)[u : u + 1], u)[0][0]
         return [int(pid) for pid in st.peer_id[served]]
 
+    # ----- picking and transfer -----------------------------------------------
+
+    def _pick_availability(self) -> np.ndarray:
+        """Per-chunk counts rarest-first ranks by (local ownership)."""
+        return self.availability()
+
+    def _pick_state(self, n: int) -> tuple:
+        """Round-local row bitsets (bit i = chunk i) mirroring the ownership,
+        live-partial and active state for the pick loop, plus per-chunk
+        availability; ``_transfer`` updates them beside the store.
+        ``rollover`` emptied the active sets at the end of the last round."""
+        part_bits = [0] * n
+        for r, partials in enumerate(self.store.partials[:n]):
+            for chunk in partials:
+                part_bits[r] |= 1 << chunk
+        return (
+            _pack_rows(self.store.own[:n]),
+            part_bits,
+            [0] * n,
+            self._pick_availability().tolist(),
+        )
+
+    def _pick_chunk(self, r: int, u: int, state: tuple) -> int | None:
+        """Local rarest first among needed, offered, not-in-flight chunks.
+
+        Bitset port of the reference ``_pick_chunk`` over the round-local
+        row bitsets (see ``_pick_state``); consumes the RNG at exactly the
+        same call sites with the same population sizes.
+        """
+        own_bits, part_bits, act_bits, avail = state
+        candidates = own_bits[u] & ~own_bits[r]
+        if not candidates:
+            return None
+        st = self.store
+        part = part_bits[r]
+        act = act_bits[r]
+        # Resume a partial chunk first (block re-request from anyone),
+        # preferring the most-complete one; ties go to the oldest partial
+        # (the first in the row's dict, like the scalar engine's ``max``).
+        resumable = candidates & part & ~act
+        if resumable:
+            if not resumable & (resumable - 1):
+                return resumable.bit_length() - 1
+            best = -1
+            most = -1.0
+            for chunk, entry in st.partials[r].items():
+                if resumable >> chunk & 1 and entry[0] > most:
+                    best, most = chunk, entry[0]
+            return best
+        fresh = candidates & ~(act | part)
+        # Endgame mode: with no fresh chunk left, join an actively
+        # transferring one rather than idle the link (block-level
+        # parallelism, no byte duplication in this model's granularity).
+        idx = _bit_indices(fresh or candidates)
+        if self.config.super_seeding and st.initially_seed[u]:
+            # Super-seeding: the origin doles out its least-offered pieces
+            # first, maximising diversity during the bootstrap.
+            offered_u = st.offered[u]
+            offers = [offered_u[c] for c in idx]
+            least = min(offers)
+            idx = [c for c, o in zip(idx, offers) if o == least]
+        if self.config.piece_selection == "in_order":
+            # Streaming policy: lowest index first (sequential playback).
+            rarest = idx[:1]
+        else:
+            rarity = [avail[c] for c in idx]
+            least = min(rarity)
+            rarest = [c for c, a in zip(idx, rarity) if a == least]
+        # Same stream as ``rng.choice(rarest)``, without its overhead
+        # (pinned by tests/chunks/test_rng_draws.py).
+        chunk = rarest[self.rng.integers(len(rarest))]
+        st.offered[u, chunk] += 1
+        return chunk
+
+    def _transfer(
+        self,
+        u: int,
+        r: int,
+        amount: float,
+        state: tuple,
+        *,
+        uploader_is_downloader: bool,
+    ) -> float:
+        """Move up to ``amount`` work units across one unchoked link.
+
+        Returns the raw bytes moved.  Usefulness is credited per completed
+        chunk: the link that finishes a chunk banks its accumulated bytes
+        into the downloader/seed useful counters.  The row's partial dict
+        and active set are written exactly as the scalar engine updates
+        its own (same float ops in the same order); the round-local
+        bitsets of ``r`` (``state``, see ``_pick_state``) follow each
+        write.
+        """
+        own_bits, part_bits, act_bits, avail = state
+        st = self.store
+        chunk_size = self._chunk_size
+        threshold = chunk_size - 1e-15
+        partials = st.partials[r]
+        active = st.active[r]
+        picks = 0
+        sent = 0.0
+        while amount > 1e-15:
+            chunk = self._pick_chunk(r, u, state)
+            if chunk is None:
+                break  # nothing useful to send
+            picks += 1
+            bit = 1 << chunk
+            entry = partials.get(chunk)
+            if entry is None:
+                entry = partials[chunk] = [0.0, 0.0, 0.0]
+                part_bits[r] |= bit
+            active.add(chunk)
+            act_bits[r] |= bit
+            need = chunk_size - entry[0]
+            step = need if need < amount else amount
+            entry[0] += step
+            amount -= step
+            sent += step
+            if uploader_is_downloader:
+                entry[1] += step
+            else:
+                entry[2] += step
+            st.uploaded_useful[u] += step
+            if entry[0] >= threshold:
+                st.set_owned(r, chunk)
+                own_bits[r] |= bit
+                avail[chunk] += 1
+                self.downloader_useful += entry[1]
+                self.seed_useful += entry[2]
+                del partials[chunk]
+                active.discard(chunk)
+                part_bits[r] &= ~bit
+                act_bits[r] &= ~bit
+        self._round_picks += picks
+        if sent > 0:
+            # Tit-for-tat ranks by transfer effort, duplicates and all.
+            self._credit(r, u, sent)
+        return sent
+
     # ----- the round ----------------------------------------------------------
 
     def run_round(self) -> None:
@@ -545,152 +691,6 @@ class ChunkSwarm(_RoundEngine):
         with ``_interest(n)``."""
         return self.store.r_prev[:n, :n]
 
-    def _pick_state(self, n: int) -> tuple:
-        """Round-local row bitsets (bit i = chunk i) mirroring the ownership,
-        live-partial and active flags for the pick loop, plus per-chunk
-        availability; ``_transfer`` updates them beside the store arrays.
-        ``rollover`` cleared ``active`` at the end of the last round."""
-        st = self.store
-        own = st.own[:n]
-        return (
-            _pack_rows(own),
-            _pack_rows(st.partial_seq[:n] > 0),
-            [0] * n,
-            own.sum(axis=0, dtype=int).tolist(),
-        )
-
-    def _pick_chunk(
-        self,
-        r: int,
-        u: int,
-        own_bits: list[int],
-        part_bits: list[int],
-        act_bits: list[int],
-        avail: list[int],
-    ) -> int | None:
-        """Local rarest first among needed, offered, not-in-flight chunks.
-
-        Bitset port of the reference ``_pick_chunk`` over the round-local
-        row bitsets (see ``_pick_state``); consumes the RNG at exactly the
-        same call sites with the same population sizes.
-        """
-        candidates = own_bits[u] & ~own_bits[r]
-        if not candidates:
-            return None
-        st = self.store
-        part = part_bits[r]
-        act = act_bits[r]
-        # Resume a partial chunk first (block re-request from anyone),
-        # preferring the most-complete one; ties go to the oldest partial
-        # (the scalar engine's dict-insertion order).
-        resumable = candidates & part & ~act
-        if resumable:
-            idx = _bit_indices(resumable)
-            if len(idx) == 1:
-                return idx[0]
-            done_r = st.partial_done[r]
-            dones = [done_r[c] for c in idx]
-            best = max(dones)
-            tied = [c for c, d in zip(idx, dones) if d == best]
-            if len(tied) == 1:
-                return tied[0]
-            return min(tied, key=st.partial_seq[r].__getitem__)
-        fresh = candidates & ~(act | part)
-        # Endgame mode: with no fresh chunk left, join an actively
-        # transferring one rather than idle the link (block-level
-        # parallelism, no byte duplication in this model's granularity).
-        idx = _bit_indices(fresh or candidates)
-        if self.config.super_seeding and st.initially_seed[u]:
-            # Super-seeding: the origin doles out its least-offered pieces
-            # first, maximising diversity during the bootstrap.
-            offered_u = st.offered[u]
-            offers = [offered_u[c] for c in idx]
-            least = min(offers)
-            idx = [c for c, o in zip(idx, offers) if o == least]
-        if self.config.piece_selection == "in_order":
-            # Streaming policy: lowest index first (sequential playback).
-            rarest = idx[:1]
-        else:
-            rarity = [avail[c] for c in idx]
-            least = min(rarity)
-            rarest = [c for c, a in zip(idx, rarity) if a == least]
-        # Same stream as ``rng.choice(rarest)``, without its overhead
-        # (pinned by tests/chunks/test_rng_draws.py).
-        chunk = rarest[self.rng.integers(len(rarest))]
-        st.offered[u, chunk] += 1
-        return chunk
-
-    def _transfer(
-        self,
-        u: int,
-        r: int,
-        amount: float,
-        state: tuple,
-        *,
-        uploader_is_downloader: bool,
-    ) -> float:
-        """Move up to ``amount`` work units across one unchoked link.
-
-        Returns the raw bytes moved.  Usefulness is credited per completed
-        chunk: the link that finishes a chunk banks its accumulated bytes
-        into the downloader/seed useful counters.  The store arrays are
-        written exactly as the scalar engine updates its dicts; the
-        round-local bitsets of ``r`` (``state``, see ``_pick_state``)
-        follow each write.
-        """
-        own_bits, part_bits, act_bits, avail = state
-        st = self.store
-        chunk_size = self.config.chunk_size
-        threshold = chunk_size - 1e-15
-        own = st.own
-        pd = st.partial_done
-        pdl = st.partial_dl
-        psc = st.partial_sc
-        pseq = st.partial_seq
-        active = st.active
-        picks = 0
-        sent = 0.0
-        while amount > 1e-15:
-            chunk = self._pick_chunk(
-                r, u, own_bits, part_bits, act_bits, avail
-            )
-            if chunk is None:
-                break  # nothing useful to send
-            picks += 1
-            bit = 1 << chunk
-            if not part_bits[r] & bit:
-                pseq[r, chunk] = st.next_partial_seq()
-                part_bits[r] |= bit
-            active[r, chunk] = True
-            act_bits[r] |= bit
-            done = pd[r, chunk]
-            need = chunk_size - done
-            step = need if need < amount else amount
-            done = done + step
-            pd[r, chunk] = done
-            amount -= step
-            sent += step
-            if uploader_is_downloader:
-                pdl[r, chunk] += step
-            else:
-                psc[r, chunk] += step
-            st.uploaded_useful[u] += step
-            if done >= threshold:
-                own[r, chunk] = True
-                own_bits[r] |= bit
-                st.n_owned[r] += 1
-                avail[chunk] += 1
-                self.downloader_useful += pdl[r, chunk]
-                self.seed_useful += psc[r, chunk]
-                pd[r, chunk] = 0.0
-                pdl[r, chunk] = 0.0
-                psc[r, chunk] = 0.0
-                pseq[r, chunk] = 0
-                active[r, chunk] = False
-                part_bits[r] &= ~bit
-                act_bits[r] &= ~bit
-        self._round_picks += picks
-        if sent > 0:
-            # Tit-for-tat ranks by transfer effort, duplicates and all.
-            st.r_cur[r, u] += sent
-        return sent
+    def _credit(self, r: int, u: int, sent: float) -> None:
+        """Tit-for-tat: ``r`` received ``sent`` bytes from ``u`` this round."""
+        self.store.r_cur[r, u] += sent

@@ -140,15 +140,33 @@ class CorrelationModel:
 
     def class_distribution(self) -> np.ndarray:
         """Probability that an *entering* user is of class ``i`` (i = 1..K)."""
-        rates = self.class_rates()
-        total = float(np.sum(rates))
-        if total == 0.0:
-            raise ValueError("p = 0: no users enter, class distribution undefined")
-        return self._cached("_class_distribution", lambda: rates / total)
+
+        def compute() -> np.ndarray:
+            rates = self.class_rates()
+            total = float(np.sum(rates))
+            if total == 0.0:
+                raise ValueError("p = 0: no users enter, class distribution undefined")
+            return rates / total
+
+        return self._cached("_class_distribution", compute)
 
     def sample_class(self, rng: np.random.Generator) -> int:
-        """Draw the class of one entering user (binomial conditioned on >= 1)."""
-        return int(rng.choice(self.classes, p=self.class_distribution()))
+        """Draw the class of one entering user (binomial conditioned on >= 1).
+
+        One ``rng.random()`` looked up in the cached CDF, built exactly as
+        ``Generator.choice`` builds it: the values and the generator stream
+        of ``rng.choice(self.classes, p=self.class_distribution())``,
+        without re-validating ``p`` on every draw (pinned by
+        tests/core/test_correlation.py).
+        """
+
+        def compute() -> np.ndarray:
+            cdf = self.class_distribution().cumsum()
+            cdf /= cdf[-1]
+            return cdf
+
+        cdf = self._cached("_class_cdf", compute)
+        return int(self.classes[cdf.searchsorted(rng.random(), side="right")])
 
     def sample_file_set(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Draw the file subset of one entering user.

@@ -3,8 +3,8 @@
 The round kernels lean on invariants that are easy to break silently --
 row order == insertion order, order-preserving compaction on both axes of
 the P x P matrices, received totals surviving compaction, zeroed row reuse
-after growth -- so they are pinned here directly, below the engine-level
-equivalence suite.
+after growth, partial dicts in creation order -- so they are pinned here
+directly, below the engine-level equivalence suite.
 """
 
 from __future__ import annotations
@@ -48,13 +48,14 @@ def test_growth_preserves_state_and_zeroes_new_rows():
     st.add(0, is_seed=True, joined_at=0.0)
     st.add(1, is_seed=False, joined_at=0.0)
     st.r_cur[1, 0] = 0.25
-    st.partial_done[1, 2] = 0.1
+    st.partials[1][2] = [0.1, 0.1, 0.0]
     st.add(2, is_seed=False, joined_at=1.0)  # triggers _grow
     assert st._cap >= 3
     assert st.own[0].all()
     assert st.r_cur[1, 0] == 0.25
-    assert st.partial_done[1, 2] == 0.1
+    assert st.partials_dict(1) == {2: [0.1, 0.1, 0.0]}
     assert not st.own[2].any()
+    assert st.partials_dict(2) == {}
     assert st.r_cur[2, :3].sum() == 0.0
     assert np.isnan(st.finished_at[2])
 
@@ -91,12 +92,14 @@ def test_compact_then_add_reuses_zeroed_rows():
     for pid in range(3):
         st.add(pid, is_seed=False, joined_at=0.0)
     st.own[2] = True
-    st.partial_seq[2, 1] = 9
+    st.partials[2][1] = [0.01, 0.0, 0.01]
+    st.active[2].add(1)
     st.compact([2])
     row = st.add(5, is_seed=False, joined_at=3.0)
     assert row == 2
     assert not st.own[2].any()
-    assert st.partial_seq[2, 1] == 0
+    assert st.partials_dict(2) == {}
+    assert st.active_chunk_set(2) == set()
 
 
 def test_rollover_swaps_and_clears():
@@ -105,23 +108,24 @@ def test_rollover_swaps_and_clears():
     st.add(1, is_seed=False, joined_at=0.0)
     st.r_cur[0, 1] = 0.3
     st.recv_total_cur[0] = 0.3
-    st.active[0, 1] = True
+    st.active[0].add(1)
     st.rollover()
     assert st.r_prev[0, 1] == 0.3 and st.r_cur[0, 1] == 0.0
     assert st.recv_total_prev[0] == 0.3 and st.recv_total_cur[0] == 0.0
-    assert not st.active[0].any()
+    assert st.active_chunk_set(0) == set()
 
 
 def test_partials_dict_orders_by_creation_sequence():
     st = ChunkStore(n_chunks=5)
     st.add(0, is_seed=False, joined_at=0.0)
     # chunk 4 started before chunk 1
-    st.partial_seq[0, 4] = st.next_partial_seq()
-    st.partial_done[0, 4] = 0.01
-    st.partial_seq[0, 1] = st.next_partial_seq()
-    st.partial_done[0, 1] = 0.02
+    st.partials[0][4] = [0.01, 0.01, 0.0]
+    st.partials[0][1] = [0.02, 0.0, 0.02]
     assert list(st.partials_dict(0)) == [4, 1]
-    assert list(st.partial_chunks_in_order(0)) == [4, 1]
+    # a completed chunk that restarts is the newest partial
+    del st.partials[0][4]
+    st.partials[0][4] = [0.005, 0.005, 0.0]
+    assert list(st.partials_dict(0)) == [1, 4]
     st.clear_partials(0)
     assert st.partials_dict(0) == {}
 

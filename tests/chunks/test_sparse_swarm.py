@@ -20,6 +20,7 @@ from repro.chunks import (
     ReferenceChunkSwarm,
     SparseChunkSwarm,
 )
+from repro.chunks.swarm import _RoundEngine
 
 
 def bounded_cfg(degree: int = 4, **kw) -> ChunkSwarmConfig:
@@ -111,16 +112,23 @@ def test_external_availability_changes_rarity_order():
         sw = SparseChunkSwarm(cfg, seed=5)
         seed = sw.add_peer(is_seed=True)
         sw.add_peer()
-        availability = sw.availability()
-        if external is not None:
-            availability = availability + external
+        sw._external = external  # what run_round(external) installs
         row = sw.store.row_of[1]
         urow = sw.store.row_of[seed.peer_id]
-        return sw._pick_chunk(row, urow, availability)
+        return sw._pick_chunk(row, urow, sw._pick_state(sw.store.n))
 
     # make every chunk except 2 common elsewhere: rarest-first must pick 2
     external = np.array([10, 10, 0, 10])
     assert first_pick(external) == 2
+
+
+@pytest.mark.parametrize("engine", [ChunkSwarm, SparseChunkSwarm])
+def test_engines_share_one_pick_and_transfer_kernel(engine):
+    """Both array engines resolve rarest-first and transfer to the single
+    ``_RoundEngine`` implementation; only the credit and availability
+    hooks differ."""
+    for name in ("_pick_chunk", "_pick_state", "_transfer"):
+        assert getattr(engine, name) is getattr(_RoundEngine, name), name
 
 
 def test_export_admit_round_trip_preserves_download_state():

@@ -102,8 +102,11 @@ class TestConditionalStatistics:
         assert float(np.sum(model.class_distribution())) == pytest.approx(1.0)
 
     def test_class_distribution_rejected_at_zero_p(self):
+        model = CorrelationModel(num_files=5, p=0.0)
         with pytest.raises(ValueError, match="p = 0"):
-            CorrelationModel(num_files=5, p=0.0).class_distribution()
+            model.class_distribution()
+        with pytest.raises(ValueError, match="p = 0"):
+            model.sample_class(np.random.default_rng(0))
 
 
 class TestSampling:
@@ -113,6 +116,22 @@ class TestSampling:
         expected = model.class_distribution()
         observed = np.bincount(draws, minlength=6)[1:] / draws.size
         np.testing.assert_allclose(observed, expected, atol=0.03)
+
+    @pytest.mark.parametrize("num_files, p", [(5, 0.5), (10, 0.9), (3, 0.05)])
+    def test_sample_class_matches_rng_choice_stream(self, num_files, p):
+        """The cached-CDF draw returns what ``rng.choice(classes, p=...)``
+        returns and leaves the generator in the same state, so DES arrival
+        streams are unchanged (this relies on how NumPy implements
+        ``choice``; CI runs it at the NumPy floor too)."""
+        model = CorrelationModel(num_files=num_files, p=p)
+        dist = model.class_distribution()
+        for seed in range(100):
+            fast = np.random.default_rng(seed)
+            slow = np.random.default_rng(seed)
+            got = [model.sample_class(fast) for _ in range(200)]
+            want = [int(slow.choice(model.classes, p=dist)) for _ in range(200)]
+            assert got == want, seed
+            assert fast.bit_generator.state == slow.bit_generator.state, seed
 
     def test_sample_file_set_sizes_and_uniqueness(self, rng):
         model = CorrelationModel(num_files=6, p=0.7)
