@@ -38,11 +38,11 @@ Per-peer numeric state lives in a structure-of-arrays
 :class:`~repro.sim.peerstore.PeerStore` per swarm, so every kernel here --
 rate recomputation, progress advancement, completion queries -- is a
 handful of NumPy array operations rather than a Python loop over entries.
-A tracker-limited (neighbour-aware) swarm keeps its boolean adjacency
-and seed-reach matrices live in :mod:`repro.sim.topology` from the moment
-it becomes neighbour-aware, gathers them once per rate epoch and allocates
-seed bandwidth with one matrix product.  The tracker samples are read-only
-outside :meth:`Swarm.set_neighbor_sample` and
+A tracker-limited (neighbour-aware) swarm keeps its per-downloader partner
+counts and seed-reach matrix live in :mod:`repro.sim.topology` from the
+moment it becomes neighbour-aware, gathers them once per rate epoch and
+allocates seed bandwidth with one matrix product.  The tracker samples
+are read-only outside :meth:`Swarm.set_neighbor_sample` and
 :meth:`Swarm.drop_neighbor_sample`, so the live topology cannot fall out
 of step.  The original per-entry loops and the full topology rebuild
 survive in :mod:`repro.sim.reference` as the oracles these kernels are
@@ -616,7 +616,7 @@ class Swarm(_RateDomain):
         #: :meth:`set_neighbor_sample` / :meth:`drop_neighbor_sample`
         self._neighbors: dict[int, frozenset[int]] = {}
         self._neighbors_view = MappingProxyType(self._neighbors)
-        #: live adjacency / seed-reach matrices while neighbour-aware (see
+        #: live partner counts / seed-reach matrix while neighbour-aware (see
         #: :mod:`repro.sim.topology`), else ``None``
         self._topo: TopoState | None = None
         #: a SUBTORRENT domain's only member is the swarm itself
@@ -861,7 +861,7 @@ class Swarm(_RateDomain):
         self.recompute_rates(eta)
 
     def _recompute_rates_neighbor_aware(self, eta: float) -> None:
-        """Bounded-connectivity allocation as adjacency matrix + matmul.
+        """Bounded-connectivity allocation: a partner mask and a matmul.
 
         * Tit-for-tat returns ``eta * upload`` only to downloaders with at
           least one connected downloader partner to trade with.
@@ -870,35 +870,42 @@ class Swarm(_RateDomain):
           with no connected downloader idles (the mixing loss the fluid
           models assume away).
 
-        Connections are mutual, so the downloader adjacency is the
-        symmetrised sample matrix; seed service is a single matrix-vector
-        product of the seed-connectivity matrix against per-seed
-        bandwidth-per-unit-capacity coefficients.
+        Connections are mutual (either side's tracker sample links a
+        pair); seed service is a single matrix-vector product of the
+        seed-connectivity matrix against per-seed
+        bandwidth-per-unit-capacity coefficients.  Rates are written into
+        the store in place; the virtual-seed product runs only when some
+        allocation is virtual (otherwise it is exactly zero) and the
+        download caps are applied only when some rate exceeds its cap.
         """
         store = self.store
         n = store.n
         if n == 0:
             return
-        caps = store.column("download_cap")
-        tft = store.column("tft_upload")
+        caps = store.download_cap[:n]
+        rate = store.rate[:n]
+        rate_from_virtual = store.rate_from_virtual[:n]
 
         has_partner, connectivity, bandwidth, virtual_vec = self._neighbor_topology()
-        rate = np.where(has_partner, eta * tft, 0.0)
         if connectivity is not None:
             reachable_cap = connectivity @ caps
-            coeff = np.divide(
-                bandwidth,
-                reachable_cap,
-                out=np.zeros(bandwidth.size),
-                where=reachable_cap > 0,
-            )
-            rate = rate + caps * (connectivity.T @ coeff)
-            rate_from_virtual = caps * (connectivity.T @ (coeff * virtual_vec))
+            # an unreachable seed idles: bandwidth / inf is exactly 0.0
+            reachable_cap[reachable_cap <= 0.0] = np.inf
+            coeff = bandwidth / reachable_cap
+            np.matmul(connectivity.T, coeff, out=rate)
+            rate *= caps
+            if virtual_vec[0]:  # virtual allocations come first
+                np.matmul(connectivity.T, coeff * virtual_vec, out=rate_from_virtual)
+                rate_from_virtual *= caps
+            else:
+                rate_from_virtual[:] = 0.0
         else:
-            rate_from_virtual = np.zeros(n)
-        _apply_download_caps(rate, rate_from_virtual, caps)
-        store.rate[:n] = rate
-        store.rate_from_virtual[:n] = rate_from_virtual
+            rate[:] = 0.0
+            rate_from_virtual[:] = 0.0
+        # tit-for-tat only for rows with a connected downloader partner
+        np.add(rate, eta * store.tft_upload[:n], out=rate, where=has_partner)
+        if (rate > caps).any():
+            _apply_download_caps(rate, rate_from_virtual, caps)
 
     def _neighbor_topology(self):
         """The kernel's topology inputs, gathered from the live state (see
@@ -1129,7 +1136,7 @@ class SwarmGroup(_RateDomain):
             )
         table[user_id] = (bandwidth, user_class)
         if swarm._topo is not None:
-            swarm._topo.seed_added(user_id)
+            swarm._topo.seed_added(user_id, virtual)
         if virtual:
             # upload accounting starts now, not at swarm creation
             swarm._virtual_anchor[user_id] = swarm.virtual_busy_time
@@ -1150,7 +1157,7 @@ class SwarmGroup(_RateDomain):
                 f"on file {file_id}"
             ) from None
         if swarm._topo is not None:
-            swarm._topo.seed_removed(user_id)
+            swarm._topo.seed_removed(user_id, virtual)
         return bw
 
     def set_seed_bandwidth(
@@ -1169,7 +1176,7 @@ class SwarmGroup(_RateDomain):
         _, klass = table[user_id]
         table[user_id] = (bandwidth, klass)
         if swarm._topo is not None:
-            swarm._topo.seed_changed()
+            swarm._topo.seed_changed(user_id, virtual)
 
     # ----- queries --------------------------------------------------------------
 

@@ -265,27 +265,35 @@ class SimulationSystem:
         )
 
     def _tracker_join(self, file_id: int, user_id: int, *, is_seeder: bool) -> None:
-        if self.tracker is None:
+        tracker = self.tracker
+        if tracker is None:
             return
         swarm = self.group_of_file(file_id).swarms[file_id]
         if user_id in swarm.neighbors:
             if is_seeder:
-                self.tracker.announce(user_id, file_id, AnnounceEvent.COMPLETED)
+                # the user keeps its STARTED sample, so this announce's
+                # sample is never read; its draw stays (it advances the
+                # generator the per-user options share)
+                with current_registry().time("sim.tracker.seconds"):
+                    tracker.announce_discarding(user_id, file_id, AnnounceEvent.COMPLETED)
             return
-        sample = self.tracker.announce(
-            user_id, file_id, AnnounceEvent.STARTED, is_seeder=is_seeder
-        )
+        with current_registry().time("sim.tracker.seconds"):
+            sample = tracker.announce(
+                user_id, file_id, AnnounceEvent.STARTED, is_seeder=is_seeder
+            )
         swarm.set_neighbor_sample(user_id, sample)
 
     def _tracker_leave_if_absent(self, file_id: int, user_id: int) -> None:
-        if self.tracker is None:
+        tracker = self.tracker
+        if tracker is None:
             return
         swarm = self.group_of_file(file_id).swarms[file_id]
         if self._user_in_swarm(swarm, user_id):
             return
         if user_id in swarm.neighbors:
             swarm.drop_neighbor_sample(user_id)
-            self.tracker.announce(user_id, file_id, AnnounceEvent.STOPPED)
+            with current_registry().time("sim.tracker.seconds"):
+                tracker.announce_discarding(user_id, file_id, AnnounceEvent.STOPPED)
 
     # ----- mutations used by behaviours ------------------------------------------------
 

@@ -92,6 +92,41 @@ class Tracker:
         swarms announce completions/departures without paying the O(swarm)
         peer-list scan.
         """
+        table = self._register(user_id, file_id, event, is_seeder)
+        if not want_peers:
+            return []
+        others = list(table)
+        if event is not AnnounceEvent.STOPPED:
+            others.remove(user_id)
+        if len(others) <= self.numwant:
+            return others
+        picked = self.rng.choice(len(others), size=self.numwant, replace=False)
+        return list(map(others.__getitem__, picked.tolist()))
+
+    def announce_discarding(
+        self,
+        user_id: int,
+        file_id: int,
+        event: AnnounceEvent,
+        *,
+        is_seeder: bool = False,
+    ) -> None:
+        """Process one announce whose peer sample the caller would discard.
+
+        Same bookkeeping and the same generator draw as :meth:`announce`
+        with ``want_peers=True`` -- the draw depends only on how many other
+        members the swarm has, so the generator ends in the same state --
+        but no peer list is built.
+        """
+        table = self._register(user_id, file_id, event, is_seeder)
+        others = len(table) - (event is not AnnounceEvent.STOPPED)
+        if others > self.numwant:
+            self.rng.choice(others, size=self.numwant, replace=False)
+
+    def _register(
+        self, user_id: int, file_id: int, event: AnnounceEvent, is_seeder: bool
+    ) -> dict[int, bool]:
+        """Apply an announce's membership change; returns the file's table."""
         table = self._table(file_id)
         self.announces += 1
         if event is AnnounceEvent.STARTED:
@@ -105,13 +140,7 @@ class Tracker:
             self._completed[file_id] = self._completed.get(file_id, 0) + 1
         elif event is AnnounceEvent.STOPPED:
             table.pop(user_id, None)
-        if not want_peers:
-            return []
-        others = [uid for uid in table if uid != user_id]
-        if len(others) <= self.numwant:
-            return others
-        picked = self.rng.choice(len(others), size=self.numwant, replace=False)
-        return [others[k] for k in picked]
+        return table
 
     def scrape(self, file_id: int) -> ScrapeStats:
         """Current swarm counters for one file."""

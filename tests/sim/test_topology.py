@@ -1,6 +1,6 @@
 """The live neighbour topology against its full-rebuild oracle.
 
-A tracker-limited swarm keeps its adjacency and seed-reach matrices live
+A tracker-limited swarm keeps its partner counts and seed-reach matrix live
 from the moment it becomes neighbour-aware (:mod:`repro.sim.topology`).
 These tests drive random mutation sequences through the public
 ``SwarmGroup`` / ``Swarm`` API and, after every operation, compare each
@@ -19,10 +19,10 @@ from repro.sim.entities import DownloadEntry
 from repro.sim.reference import neighbor_topology_rebuild
 from repro.sim.swarm import SwarmGroup
 
-#: users that may download or seed; 90 is a ghost that only ever
+#: users that may download or seed; 90 and 91 are ghosts that only ever
 #: appear in tracker samples (the tracker keeps samples of leavers)
-MEMBERS = list(range(3))
-IDS = MEMBERS + [90]
+MEMBERS = list(range(8))
+IDS = MEMBERS + [90, 91]
 
 member_st = st.sampled_from(MEMBERS)
 id_st = st.sampled_from(IDS)
@@ -33,7 +33,7 @@ bandwidth_st = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
 op_st = st.one_of(
     st.tuples(st.just("download"), member_st),
     # samples may hold their own user (a self-loop) and ghost ids
-    st.tuples(st.just("sample"), id_st, st.frozensets(id_st, max_size=3)),
+    st.tuples(st.just("sample"), id_st, st.frozensets(id_st, max_size=6)),
     st.tuples(st.just("drop"), id_st),
     st.tuples(st.just("seed"), member_st, bandwidth_st, st.booleans()),
     st.tuples(st.just("bandwidth"), member_st, bandwidth_st, st.booleans()),
@@ -85,6 +85,7 @@ def _apply(group: SwarmGroup, op: tuple) -> None:
 
 def _assert_matches_rebuild(group: SwarmGroup) -> None:
     swarm = group.swarms[0]
+    _assert_bookkeeping(swarm)
     gathered = swarm._neighbor_topology()
     rebuilt = neighbor_topology_rebuild(swarm)
     for name, got, want in zip(
@@ -96,8 +97,26 @@ def _assert_matches_rebuild(group: SwarmGroup) -> None:
             assert np.array_equal(got, want), name
 
 
+def _assert_bookkeeping(swarm) -> None:
+    """Each slot's partner count is exactly its number of other connected
+    downloaders (the gather only reads whether it is positive), and the
+    reverse index holds exactly the samples' back-links, with no entry for
+    a user no sample holds."""
+    slot_users = [int(u) for u in swarm.store.column("user_id")]
+    want = [
+        sum(1 for v in slot_users if v != u and swarm.connected(u, v))
+        for u in slot_users
+    ]
+    assert swarm._topo.partners == want
+    back: dict[int, set] = {}
+    for u, sample in swarm.neighbors.items():
+        for v in sample:
+            back.setdefault(v, set()).add(u)
+    assert swarm._topo.rev == back
+
+
 @settings(max_examples=500, deadline=None)
-@given(ops=st.lists(op_st, max_size=60))
+@given(ops=st.lists(op_st, max_size=80))
 def test_live_topology_matches_rebuild(ops):
     group = _group()
     for op in ops:
@@ -170,3 +189,70 @@ def test_neighbor_awareness_starts_on_an_empty_swarm():
     group.add_downloader(_entry(1))
     with pytest.raises(ValueError, match="empty"):
         group.swarms[0].neighbor_aware = True
+
+
+def test_mutual_pair_keeps_its_edge_when_one_side_drops():
+    """Both users sampled each other; either side dropping or replacing
+    its sample leaves the connection standing."""
+    group = _group()
+    swarm = group.swarms[0]
+    steps = [
+        ("download", 0),
+        ("download", 1),
+        ("seed", 2, 0.5, False),
+        ("sample", 0, frozenset({1, 2})),
+        ("sample", 1, frozenset({0})),
+        ("sample", 2, frozenset({0})),
+        ("sample", 0, frozenset({3})),  # 0 forgets 1 and 2; both keep it
+        ("drop", 1),  # ... now the pair is gone
+        ("drop", 2),  # ... and so is the seed's reach
+    ]
+    expect = [None, None, None, [1, 1], [1, 1], [1, 1], [1, 1], [0, 0], [0, 0]]
+    for op, partners in zip(steps, expect):
+        _apply(group, op)
+        _assert_matches_rebuild(group)
+        if partners is not None:
+            assert swarm._topo.partners == partners
+    hp, connectivity, *_ = swarm._neighbor_topology()
+    assert not hp.any() and not connectivity.any()
+
+
+def test_self_loop_reaches_only_the_seed_row():
+    """A user sampling itself never counts as its own partner, but its seed
+    allocation reaches its own download slot."""
+    group = _group()
+    swarm = group.swarms[0]
+    for op in [
+        ("download", 4),
+        ("sample", 4, frozenset({4})),
+        ("seed", 4, 0.3, True),
+        ("download", 5),
+        ("sample", 5, frozenset({5, 4})),
+        ("sample", 4, frozenset()),  # the self-loop goes, 5 keeps the link
+        ("sample", 4, frozenset({4, 5})),
+    ]:
+        _apply(group, op)
+        _assert_matches_rebuild(group)
+    assert swarm._topo.partners == [1, 1]
+
+
+def test_counts_reach_zero_when_every_partner_leaves():
+    """A hub sampled by everyone: as its partners leave one by one, its
+    count falls to exactly 0.  The hub holds the last slot, so the first
+    leave swap-fills it into the leaver's slot."""
+    group = _group()
+    swarm = group.swarms[0]
+    hub = MEMBERS[-1]
+    for user in MEMBERS[:-1]:
+        group.add_downloader(_entry(user))
+        swarm.set_neighbor_sample(user, {hub, 90})
+    group.add_downloader(_entry(hub))
+    _assert_matches_rebuild(group)
+    topo = swarm._topo
+    assert topo.partners[topo.slot_of[hub]] == len(MEMBERS) - 1
+    for user in MEMBERS[:-1]:
+        group.remove_downloader(user, 0)
+        _assert_matches_rebuild(group)
+    assert topo.slot_of == {hub: 0}
+    assert topo.partners == [0]
+    assert not swarm._neighbor_topology()[0].any()

@@ -17,6 +17,7 @@ from repro.sim.behaviors import BehaviorKind
 from repro.sim.entities import DownloadEntry
 from repro.sim.swarm import SwarmGroup
 from repro.sim.system import SimulationSystem
+from repro.sim.tracker import ScrapeStats
 
 
 def make_tracker(numwant=3, seed=0):
@@ -146,6 +147,52 @@ class TestAnnounceSamplesPinned:
             tracker.announce(uid, 0, AnnounceEvent.STARTED)
         assert tracker.announce(9, 0, AnnounceEvent.STARTED) == [0, 1, 2, 3, 4]
         assert tracker.rng.bit_generator.state == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=_ANNOUNCES,
+        numwant=hst.integers(1, 8),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_discarding_announce_draws_like_list_building(self, ops, numwant, seed):
+        """``announce_discarding`` builds no list but must leave the
+        generator exactly where the list-building draw does, so the samples
+        of the announces that are read stay the same.  Here the last flag
+        of each operation picks the discarding announce."""
+        tracker = Tracker(np.random.default_rng(seed), numwant=numwant)
+        ref_rng = np.random.default_rng(seed)
+        tables: dict[int, dict[int, bool]] = {}
+        for event, uid, fid, is_seeder, discard in ops:
+            if event is AnnounceEvent.COMPLETED and uid not in tables.get(fid, {}):
+                event = AnnounceEvent.STARTED  # completing needs a start
+            want = list_building_announce(
+                tables, ref_rng, numwant, uid, fid, event, is_seeder, True
+            )
+            if discard:
+                got = tracker.announce_discarding(uid, fid, event, is_seeder=is_seeder)
+                assert got is None
+            else:
+                got = tracker.announce(uid, fid, event, is_seeder=is_seeder)
+                assert got == want
+            assert tracker.rng.bit_generator.state == ref_rng.bit_generator.state
+        assert tracker.announces == len(ops)
+        for fid, table in tables.items():
+            assert tracker.members(fid) == set(table)
+
+    def test_discarding_announce_draws_only_past_numwant(self):
+        tracker = make_tracker(numwant=3, seed=5)
+        for uid in range(4):
+            tracker.announce(uid, 0, AnnounceEvent.STARTED)
+        before = tracker.rng.bit_generator.state
+        # three others: the list-building announce would return them all
+        tracker.announce_discarding(0, 0, AnnounceEvent.COMPLETED)
+        assert tracker.rng.bit_generator.state == before
+        tracker.announce(4, 0, AnnounceEvent.STARTED)
+        before = tracker.rng.bit_generator.state
+        # four others after the stop: one numwant-sized draw
+        tracker.announce_discarding(9, 0, AnnounceEvent.STOPPED)
+        assert tracker.rng.bit_generator.state != before
+        assert tracker.scrape(0) == ScrapeStats(leechers=4, seeders=1, completed=1)
 
 
 class TestNeighborAwareRates:
