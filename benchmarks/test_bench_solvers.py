@@ -1,9 +1,10 @@
 """Benchmark: the production steady-state solver against its oracle on Eq. (5).
 
 DESIGN.md calls out the choice of pseudo-transient continuation + Newton as
-the production path; this bench times it beside ``integrate_to_steady_state``
-(follow the flow until it stops) on the hardest model in the paper (CMFSD
-at K=10) and asserts they agree on the answer.
+the production numerical driver; this bench times it beside
+``integrate_to_steady_state`` (follow the flow until it stops) on the
+hardest model in the paper (CMFSD at K=10) and asserts both agree with
+the CMFSD scalar root (``CMFSDModel.steady_state``).
 """
 
 from __future__ import annotations

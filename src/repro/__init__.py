@@ -50,7 +50,7 @@ from repro.core import (
     evaluate_scheme,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "AdaptController",

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cmfsd import CMFSDModel
+from repro.core.cmfsd import CMFSDModel, steady_state_path
 from repro.core.metrics import SystemMetrics
 from repro.core.parameters import FluidParameters
 
@@ -172,12 +172,10 @@ def adapt_fixed_point(
     applies the update.  Classes that are empty (``lambda_i = 0`` or class 1,
     which never virtual-seeds) keep their ``rho`` untouched.
 
-    With ``warm_start`` (the default) each round's stationary point seeds
-    the next round's Newton solve -- consecutive ``rho`` vectors differ by
-    at most one Adapt step, so the previous operating point is an excellent
-    guess and the per-round cost drops from a full integrate+Newton solve
-    to a few Newton iterations.  ``warm_start=False`` restores the cold
-    per-round solve (used by the equivalence tests).
+    With ``warm_start`` (the default) each round's stationary point comes
+    from the CMFSD scalar root (:func:`repro.core.cmfsd.steady_state_path`);
+    ``warm_start=False`` solves every round cold with the numerical driver
+    instead (the reference the equivalence tests compare against).
     """
     K = params.num_files
     rates = np.asarray(class_rates, dtype=float)
@@ -196,11 +194,8 @@ def adapt_fixed_point(
     deltas_seen: list[np.ndarray] = []
     converged = False
     model = CMFSDModel(params=params, class_rates=rates, rho=rho)
-    guess: np.ndarray | None = None
     for _ in range(max_rounds):
-        steady = model.steady_state(initial_state=guess)
-        if warm_start and steady.converged:
-            guess = steady.state
+        (steady,) = steady_state_path([model], warm_start=warm_start)
         deltas = model.virtual_seed_balance(steady)
         deltas_seen.append(deltas.copy())
         new_rho = rho.copy()
@@ -219,7 +214,7 @@ def adapt_fixed_point(
         model = CMFSDModel(params=params, class_rates=rates, rho=rho)
 
     final_model = CMFSDModel(params=params, class_rates=rates, rho=rho)
-    final_steady = final_model.steady_state(initial_state=guess)
+    (final_steady,) = steady_state_path([final_model], warm_start=warm_start)
     return AdaptTrace(
         rho_history=np.asarray(history),
         deltas=np.asarray(deltas_seen) if deltas_seen else np.empty((0, K)),

@@ -35,10 +35,34 @@ Eq. (5) then chains the stages:
 with ``out(i,j) = mu*eta*P(i,j)*x^{i,j} + S^{i,j}`` the rate at which the
 group completes its current file (file size normalised to 1).
 
-There is no closed form; the model is solved numerically (Sec. 4.2.2 of the
-paper does the same).  ``rho`` may be a scalar or a per-class vector, the
-latter enabling the Adapt mechanism's fluid-level analysis where classes
-tune their own ratio.
+Stationary points reduce to one scalar equation.  At stationarity every
+stage of class ``i`` passes the flow ``lambda_i`` on (the chain has no
+other exit), so ``out(i,j) = lambda_i`` and ``y^i = lambda_i/gamma``.
+Write ``r`` for the pooled seed-to-downloader ratio
+``(sum (1-P)*x + sum y) / sum x``; then ``out(i,j) = x^{i,j} * d_{ij}(r)``
+with ``d_{ij}(r) = min(mu*eta*P(i,j) + mu*r, c)`` (``c`` the optional
+download cap, infinite by default), so
+
+    x^{i,j} = lambda_i / d_{ij}(r),
+
+and ``r`` itself must reproduce the ratio it was assumed to be:
+
+    h(r) = sum_{i,j} x^{i,j}(r) * (r - (1 - P(i,j))) - sum_i lambda_i/gamma = 0.
+
+``h`` is strictly increasing on ``r > 0``: its slope is
+``sum lambda_i*(mu*eta*P + mu*(1-P))/d^2`` over uncapped stages plus
+``sum lambda_i/c`` over capped ones.  ``h(0+) < 0`` (the seeds' term),
+and ``h(inf) = sum_i lambda_i*(i/mu - 1/gamma) > 0`` whenever
+``gamma > mu`` (:attr:`FluidParameters.is_stable`), or ``+inf`` under a
+cap -- so the root is unique and a bracketed Newton iteration finds it
+(:func:`steady_state_path` solves a whole path of models in one
+vectorised root-find).  Without a sign change (``h(inf) <= 0``, possible
+only for ``gamma <= mu`` without a cap) Eq. (5) has no interior
+stationary point, and the numerical driver
+(:func:`repro.ode.find_steady_state`, Sec. 4.2.2 of the paper) answers.
+``rho`` may be a scalar or a per-class vector, the latter enabling the
+Adapt mechanism's fluid-level analysis where classes tune their own
+ratio.
 """
 
 from __future__ import annotations
@@ -54,10 +78,9 @@ from repro.obs import current_registry
 from repro.ode import (
     IntegrationResult,
     SteadyStateOptions,
-    SteadyStateResult,
     find_steady_state,
     integrate,
-    newton_steady_state,
+    residual_norm,
     solve_path,
 )
 
@@ -81,17 +104,23 @@ class StateIndex:
 
     @classmethod
     def build(cls, num_files: int) -> "StateIndex":
+        """The index for ``K = num_files``: one shared, read-only instance per K."""
         if num_files < 1:
             raise ValueError(f"num_files must be >= 1, got {num_files}")
-        pairs = [(i, j) for i in range(1, num_files + 1) for j in range(1, i + 1)]
-        index = {pair: k for k, pair in enumerate(pairs)}
-        i_of_pair = np.array([i for i, _ in pairs])
-        j_of_pair = np.array([j for _, j in pairs])
-        prev_pair = np.array(
-            [index[(i, j - 1)] if j > 1 else -1 for i, j in pairs]
-        )
-        last_pair = np.array([index[(i, i)] for i in range(1, num_files + 1)])
-        return cls(num_files, i_of_pair, j_of_pair, prev_pair, last_pair)
+        cached = _INDICES.get(num_files)
+        if cached is None:
+            pairs = [(i, j) for i in range(1, num_files + 1) for j in range(1, i + 1)]
+            index = {pair: k for k, pair in enumerate(pairs)}
+            arrays = (
+                np.array([i for i, _ in pairs]),
+                np.array([j for _, j in pairs]),
+                np.array([index[(i, j - 1)] if j > 1 else -1 for i, j in pairs]),
+                np.array([index[(i, i)] for i in range(1, num_files + 1)]),
+            )
+            for a in arrays:
+                a.setflags(write=False)
+            cached = _INDICES[num_files] = cls(num_files, *arrays)
+        return cached
 
     @property
     def n_pairs(self) -> int:
@@ -117,6 +146,10 @@ class StateIndex:
     def split(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(x_pairs, y)`` views of a flat state vector."""
         return state[: self.n_pairs], state[self.n_pairs :]
+
+
+#: :meth:`StateIndex.build`'s instances, keyed by K (models share them).
+_INDICES: dict[int, StateIndex] = {}
 
 
 @dataclass(frozen=True)
@@ -287,51 +320,47 @@ class CMFSDModel:
     ) -> CMFSDSteadyState:
         """Solve Eq. (5) to stationarity.
 
-        The default path runs pseudo-transient continuation from the empty
-        torrent and polishes with Newton (globally robust).
-        ``initial_state`` enables warm starts for parameter sweeps -- a
-        nearby solution (e.g. the previous point on a rho grid) lets Newton
-        converge directly, which is an order of magnitude faster; if the
-        warm Newton solve fails, the robust path runs as a fallback.
+        The stationary point comes from the scalar root of the module
+        docstring's ``h(r)``; without a root the numerical driver
+        (:func:`repro.ode.find_steady_state`, from the empty torrent)
+        answers.  ``initial_state`` -- a nearby solution, e.g. the previous
+        point of a sweep -- only seeds the root's bracket, so a poor guess
+        cannot change the answer.
         """
-        if float(np.sum(self.class_rates)) == 0.0:
-            return CMFSDSteadyState(
-                index=self._index,
-                state=np.zeros(self.state_dim),
-                residual=0.0,
-                converged=True,
-            )
-        reg = current_registry()
         if initial_state is not None:
-            guess = np.asarray(initial_state, dtype=float)
-            if guess.shape != (self.state_dim,):
+            initial_state = np.asarray(initial_state, dtype=float)
+            if initial_state.shape != (self.state_dim,):
                 raise ValueError(
                     f"initial_state must have shape ({self.state_dim},), "
-                    f"got {guess.shape}"
+                    f"got {initial_state.shape}"
                 )
-            warm = newton_steady_state(self.rhs, guess, options)
-            if warm.converged:
-                if reg.enabled:
-                    reg.inc("core.cmfsd.steady_state.warm_hits")
-                return CMFSDSteadyState(
-                    index=self._index,
-                    state=np.clip(warm.state, 0.0, None),
-                    residual=warm.residual,
-                    converged=True,
-                )
-        if reg.enabled:
-            reg.inc("core.cmfsd.steady_state.cold_solves")
-        result: SteadyStateResult = find_steady_state(
-            self.rhs, np.zeros(self.state_dim), options
-        )
-        return CMFSDSteadyState(
-            index=self._index,
-            state=np.clip(result.state, 0.0, None),
-            residual=result.residual,
-            converged=result.converged,
-        )
+        return _stationary_points([self], options, initial_state)[0]
 
     # ----- metrics ------------------------------------------------------------
+
+    def _class_downloaders(self, steady: CMFSDSteadyState) -> np.ndarray:
+        """``sum_j x^{i,j}`` for every class ``i`` (index ``i - 1``)."""
+        idx = self._index
+        return np.bincount(
+            idx.i_of_pair - 1,
+            weights=steady.state[: idx.n_pairs],
+            minlength=self.params.num_files,
+        )
+
+    def _metrics_of_class(self, i: int, downloaders: float) -> ClassMetrics:
+        lam = float(self.class_rates[i - 1])
+        if lam > 0:
+            download = float(downloaders) / lam
+            online = download + self.params.mean_seed_time
+        else:
+            download = float("nan")
+            online = float("nan")
+        return ClassMetrics(
+            class_index=i,
+            arrival_rate=lam,
+            total_download_time=download,
+            total_online_time=online,
+        )
 
     def class_metrics(
         self, i: int, steady: CMFSDSteadyState | None = None
@@ -346,25 +375,15 @@ class CMFSDModel:
         if not 1 <= i <= self.params.num_files:
             raise ValueError(f"class index must be in 1..{self.params.num_files}")
         ss = steady if steady is not None else self.steady_state()
-        lam = float(self.class_rates[i - 1])
-        if lam > 0:
-            download = ss.class_downloaders(i) / lam
-            online = download + self.params.mean_seed_time
-        else:
-            download = float("nan")
-            online = float("nan")
-        return ClassMetrics(
-            class_index=i,
-            arrival_rate=lam,
-            total_download_time=download,
-            total_online_time=online,
-        )
+        return self._metrics_of_class(i, self._class_downloaders(ss)[i - 1])
 
     def system_metrics(self, steady: CMFSDSteadyState | None = None) -> SystemMetrics:
         """Aggregate metrics (the Fig.-4(a) quantity)."""
         ss = steady if steady is not None else self.steady_state()
+        downloaders = self._class_downloaders(ss)
         per_class = [
-            self.class_metrics(i, ss) for i in range(1, self.params.num_files + 1)
+            self._metrics_of_class(i, downloaders[i - 1])
+            for i in range(1, self.params.num_files + 1)
         ]
         return aggregate_metrics("CMFSD", per_class)
 
@@ -403,14 +422,14 @@ def steady_state_path(
     *,
     warm_start: bool = True,
 ) -> list[CMFSDSteadyState]:
-    """Stationary points along a sequence of CMFSD models (continuation).
+    """Stationary points along a sequence of CMFSD models (a rho grid, an
+    arrival-rate sweep, ...), which must share one state dimension (same K).
 
-    The models must share one state dimension (same ``K``) and should vary
-    a parameter smoothly -- a rho grid, an arrival-rate sweep -- so each
-    stationary point is a good Newton guess for the next
-    (:func:`repro.ode.solve_path` does the threading; with
-    ``warm_start=False`` every point is solved cold from the empty
-    torrent, which is the reference the warm path is tested against).
+    By default one vectorised root-find of the module docstring's ``h(r)``
+    serves every model of the path at once.  With ``warm_start=False``
+    every point is solved cold by the numerical driver from the empty
+    torrent (:func:`repro.ode.solve_path`) -- the reference the root is
+    tested against.
     """
     models = list(models)
     if not models:
@@ -421,12 +440,14 @@ def steady_state_path(
             raise ValueError(
                 f"all models on a path must share state_dim={dim}, got {m.state_dim}"
             )
+    if warm_start:
+        return _stationary_points(models, options)
     path = solve_path(
         lambda m: m.rhs,
         models,
         np.zeros(dim),
         options,
-        warm_start=warm_start,
+        warm_start=False,
     )
     return [
         CMFSDSteadyState(
@@ -437,3 +458,154 @@ def steady_state_path(
         )
         for m, r in zip(models, path.results)
     ]
+
+
+#: Iteration cap of the vectorised root-find.  Newton from inside the
+#: bracket converges quadratically; a step leaving the bracket is replaced
+#: by bisection, so the cap is only a guard.
+ROOT_MAX_ITER = 100
+
+
+def _stationary_points(
+    models: list[CMFSDModel],
+    options: SteadyStateOptions | None,
+    initial_state: np.ndarray | None = None,
+) -> list[CMFSDSteadyState]:
+    """Stationary points of ``models`` (one K) from one vectorised root-find.
+
+    Models without a root, or whose root state misses ``options.tol``,
+    fall back to :func:`repro.ode.find_steady_state` from the empty
+    torrent.  ``initial_state`` (single-model calls only) seeds the
+    bracket.
+    """
+    tol = (options or SteadyStateOptions()).tol
+    idx = models[0].index
+    rates = np.array([m.class_rates for m in models])
+    lam = rates[:, idx.i_of_pair - 1]
+    p = np.array([m._p_vec for m in models])
+    mu = np.array([[m.params.mu] for m in models])
+    tft = np.array([[m.params.mu * m.params.eta] for m in models]) * p
+    cap = np.array([[m.params.download_bandwidth or np.inf] for m in models])
+    gamma = np.array([m.params.gamma for m in models])
+    guess = np.full(len(models), np.nan)
+    if initial_state is not None:
+        x0, y0 = idx.split(initial_state)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess[0] = (np.sum((1.0 - p[0]) * x0) + np.sum(y0)) / np.sum(x0)
+    ratios, has_root, iterations = _stationary_ratios(
+        lam, 1.0 - p, tft, mu, cap, np.sum(rates, axis=1) / gamma, guess
+    )
+
+    results: list[CMFSDSteadyState] = []
+    solves = fallbacks = 0
+    for k, m in enumerate(models):
+        if not np.any(lam[k] > 0.0):
+            results.append(
+                CMFSDSteadyState(
+                    index=idx, state=np.zeros(idx.state_dim), residual=0.0, converged=True
+                )
+            )
+            continue
+        if has_root[k]:
+            d = np.minimum(tft[k] + mu[k] * ratios[k], cap[k])
+            state = np.concatenate([lam[k] / d, rates[k] / gamma[k]])
+            residual = residual_norm(m.rhs, state)
+            if residual < tol:
+                solves += 1
+                results.append(
+                    CMFSDSteadyState(index=idx, state=state, residual=residual, converged=True)
+                )
+                continue
+        fallbacks += 1
+        result = find_steady_state(m.rhs, np.zeros(idx.state_dim), options)
+        results.append(
+            CMFSDSteadyState(
+                index=idx,
+                state=np.clip(result.state, 0.0, None),
+                residual=result.residual,
+                converged=result.converged,
+            )
+        )
+    reg = current_registry()
+    if reg.enabled:
+        reg.inc("core.cmfsd.root.solves", solves)
+        reg.inc("core.cmfsd.root.iterations", iterations)
+        reg.inc("core.cmfsd.root.fallbacks", fallbacks)
+    return results
+
+
+def _stationary_ratios(
+    lam: np.ndarray,
+    share: np.ndarray,
+    tft: np.ndarray,
+    mu: np.ndarray,
+    cap: np.ndarray,
+    seeds: np.ndarray,
+    guess: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Roots of ``h(r)`` for every row at once.
+
+    Row ``k`` is one model: per stage its arrival rate ``lam``, virtual-seed
+    share ``share = 1 - P``, tit-for-tat rate ``tft = mu*eta*P``; per model
+    ``mu``, ``cap`` (``inf`` for none) and the seed population ``seeds``.
+    Returns ``(r, has_root, iterations)``; ``r`` is meaningful where
+    ``has_root`` holds.
+
+    The bracket's upper end is explicit.  Uncapped, ``h(r) >= A - D/(mu r)
+    - seeds`` with ``A = sum lam/mu`` and ``D = sum lam*(share + tft/mu)``,
+    so ``h >= 0`` from ``D / (mu*(A - seeds))`` on, provided ``A > seeds``.
+    Capped, every ``x >= lam/c`` and for ``r >= 1`` every ``r - share >=
+    r - 1``, so ``h >= 0`` from ``1 + c*seeds/sum(lam)`` on; at ``r >= 1``
+    the cap only raises ``h``, so the uncapped end (at least 1) holds too.
+    A row with neither end has no root.
+    """
+    total = np.sum(lam, axis=1)
+    mu_row, cap_row = mu[:, 0], cap[:, 0]
+    excess = total / mu_row - seeds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.where(
+            excess > 0.0,
+            np.sum(lam * (share + tft / mu), axis=1) / (mu_row * excess),
+            np.inf,
+        )
+        hi = np.where(
+            np.isfinite(cap_row),
+            np.minimum(1.0 + cap_row * seeds / total, np.maximum(hi, 1.0)),
+            hi,
+        )
+    has_root = np.isfinite(hi) & (total > 0.0)
+    rows = np.flatnonzero(has_root)
+    ratios = np.full(lam.shape[0], np.nan)
+    if rows.size == 0:
+        return ratios, has_root, 0
+    lam, share, tft, mu, cap = lam[rows], share[rows], tft[rows], mu[rows], cap[rows]
+    seeds, hi = seeds[rows], hi[rows]
+    # Uncapped, h rises to its limit h(inf) = excess, and the step below is
+    # Newton's on 1/(h(inf) - h): concave and close to linear in r, so it
+    # neither crawls up from the 1/r pole at rho = 0 nor overshoots from
+    # the right.  Capped rows have no finite limit and step plainly.
+    limit = np.where(np.isfinite(cap[:, 0]), np.inf, excess[rows])
+    lo = np.zeros_like(hi)
+    r = np.where((guess[rows] > 0.0) & (guess[rows] < hi), guess[rows], hi)
+    # uncapped slope numerator lam*(mu*eta*P + mu*(1 - P)) per stage
+    bend = lam * (tft + mu * share)
+    iterations = 0
+    while iterations < ROOT_MAX_ITER:
+        iterations += 1
+        rate = tft + mu * r[:, None]
+        capped = rate >= cap
+        d = np.minimum(rate, cap)
+        x = lam / d
+        h = np.sum(x * (r[:, None] - share), axis=1) - seeds
+        slope = np.sum(np.where(capped, lam / cap, bend / (d * d)), axis=1)
+        lo = np.where(h < 0.0, r, lo)
+        hi = np.where(h > 0.0, r, hi)
+        step = r - h * (1.0 - h / limit) / slope
+        inside = (step >= lo) & (step <= hi) & (step > 0.0)
+        nxt = np.where(h == 0.0, r, np.where(inside, step, 0.5 * (lo + hi)))
+        done = np.abs(nxt - r) <= 4.0 * np.finfo(float).eps * nxt
+        r = nxt
+        if done.all():
+            break
+    ratios[rows] = r
+    return ratios, has_root, iterations

@@ -69,11 +69,9 @@ def run(
                 mtcd.system_metrics().avg_online_time_per_file,
             )
         )
-        warm = None
         for rho in rho_values:
             model = CMFSDModel.from_correlation(params, corr, rho=rho)
-            steady = model.steady_state(initial_state=warm)
-            warm = steady.state
+            steady = model.steady_state()
             cms = [model.class_metrics(i, steady) for i in classes]
             rows.append(
                 (

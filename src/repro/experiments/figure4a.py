@@ -1,6 +1,6 @@
 """Figure 4(a): CMFSD average online time per file over the (p, rho) grid.
 
-Every grid point is one steady-state solve of the Eq.-(5) ODE system.
+Every grid point is one stationary point of the Eq.-(5) ODE system.
 Expected shape (paper Sec. 4.2.2): for every correlation ``p`` the online
 time per file increases monotonically with ``rho`` (``rho = 0`` is the
 system optimum); the improvement of ``rho = 0`` over ``rho = 1`` grows with
@@ -31,9 +31,10 @@ def run(
 ) -> ExperimentResult:
     """Sweep (p, rho) and solve the CMFSD steady state at each point.
 
-    Each grid row is solved as a continuation path along rho
-    (:func:`repro.core.cmfsd.steady_state_path`); ``warm_start=False``
-    solves every grid point cold, for cross-checking.
+    Each grid row is one path along rho, solved by one vectorised scalar
+    root-find (:func:`repro.core.cmfsd.steady_state_path`);
+    ``warm_start=False`` solves every grid point cold with the numerical
+    driver, for cross-checking.
     """
     if p_values is None:
         p_values = np.linspace(0.1, 1.0, 10)
@@ -56,8 +57,6 @@ def run(
             .system_metrics()
             .avg_online_time_per_file
         )
-        # Each row is a continuation path along rho: neighbouring steady
-        # states are close, so each one seeds the next point's Newton solve.
         models = [
             CMFSDModel.from_correlation(params, corr, rho=float(rho))
             for rho in rho_values

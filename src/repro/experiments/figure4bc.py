@@ -36,9 +36,10 @@ def run(
 ) -> ExperimentResult:
     """Per-class CMFSD/MFCD comparison at the paper's settings.
 
-    The CMFSD stationary points along the rho grid are solved as a
-    continuation path (each point warm-starting the next); pass
-    ``warm_start=False`` to solve every point cold.
+    The CMFSD stationary points along the rho grid come from one
+    vectorised scalar root-find (:func:`repro.core.cmfsd.steady_state_path`);
+    pass ``warm_start=False`` to solve every point cold with the numerical
+    driver instead.
     """
     classes = list(range(1, params.num_files + 1))
     headers = (

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.tables import format_table
-from repro.core.cmfsd import CMFSDModel
+from repro.core.cmfsd import CMFSDModel, steady_state_path
 from repro.core.correlation import CorrelationModel
 from repro.core.parameters import FluidParameters, PAPER_PARAMETERS
 from repro.core.schemes import Scheme, evaluate_scheme
@@ -32,13 +32,12 @@ __all__ = ["run"]
 
 
 def _evaluate(
-    params: FluidParameters, p: float, guess: np.ndarray | None
-) -> tuple[tuple[float, float, float, float], np.ndarray | None]:
-    """Times of all four schemes, threading the CMFSD stationary point.
+    params: FluidParameters, p: float, warm_start: bool
+) -> tuple[float, float, float, float]:
+    """Times of all four schemes.
 
-    MTCD/MTSD/MFCD have closed forms; only CMFSD needs an ODE solve, so it
-    is evaluated directly and the converged state is returned for the next
-    sweep point to warm-start from (``guess=None`` forces a cold solve).
+    MTCD/MTSD/MFCD have closed forms; CMFSD comes from its scalar root, or
+    from a cold numerical solve with ``warm_start=False``.
     """
     corr = CorrelationModel(num_files=params.num_files, p=p)
     closed = tuple(
@@ -46,10 +45,8 @@ def _evaluate(
         for s in (Scheme.MTCD, Scheme.MTSD, Scheme.MFCD)
     )
     model = CMFSDModel.from_correlation(params, corr, rho=0.0)
-    steady = model.steady_state(initial_state=guess)
-    cmfsd = model.system_metrics(steady).avg_online_time_per_file
-    next_guess = steady.state if steady.converged else None
-    return closed + (cmfsd,), next_guess
+    (steady,) = steady_state_path([model], warm_start=warm_start)
+    return closed + (model.system_metrics(steady).avg_online_time_per_file,)
 
 
 def run(
@@ -62,9 +59,8 @@ def run(
 ) -> ExperimentResult:
     """Sweep eta and gamma; record scheme times and headline ratios.
 
-    ``warm_start`` threads each CMFSD stationary point into the next sweep
-    point's Newton solve (each sweep is a continuation path); disable it
-    to solve every point cold.
+    ``warm_start=False`` solves every CMFSD point cold with the numerical
+    driver instead of the scalar root, for cross-checking.
     """
     headers = (
         "parameter",
@@ -77,19 +73,13 @@ def run(
         "mfcd_over_cmfsd0",
     )
     rows: list[tuple] = []
-    guess: np.ndarray | None = None
     for eta in eta_values:
-        (mtcd, mtsd, mfcd, cmfsd), state = _evaluate(params.with_(eta=eta), p, guess)
-        if warm_start:
-            guess = state
+        mtcd, mtsd, mfcd, cmfsd = _evaluate(params.with_(eta=eta), p, warm_start)
         rows.append(("eta", eta, mtcd, mtsd, mfcd, cmfsd, mtcd / mtsd, mfcd / cmfsd))
-    guess = None  # gamma is a fresh sweep; don't warm-start across sweeps
     for gamma in gamma_values:
         if gamma <= params.mu:
             raise ValueError(f"gamma={gamma} violates the stability condition gamma > mu")
-        (mtcd, mtsd, mfcd, cmfsd), state = _evaluate(params.with_(gamma=gamma), p, guess)
-        if warm_start:
-            guess = state
+        mtcd, mtsd, mfcd, cmfsd = _evaluate(params.with_(gamma=gamma), p, warm_start)
         rows.append(
             ("gamma", gamma, mtcd, mtsd, mfcd, cmfsd, mtcd / mtsd, mfcd / cmfsd)
         )

@@ -1,8 +1,10 @@
 """Steady-state (stationary point) solvers for autonomous ODE systems.
 
 The fluid models of the paper are evaluated at their stable operating point
-``f(y*) = 0``.  Closed forms exist for the MTCD/MTSD models; the CMFSD model
-(Eq. 5 of the paper) must be solved numerically.  This module offers:
+``f(y*) = 0``.  Closed forms exist for the MTCD/MTSD models, and the CMFSD
+model (Eq. 5 of the paper) reduces to one scalar root
+(:mod:`repro.core.cmfsd`); these drivers serve the other models and are the
+CMFSD reference.  This module offers:
 
 * :func:`integrate_to_steady_state` -- follow the flow until the derivative
   norm is negligible.  Robust (the models are globally attracting for valid

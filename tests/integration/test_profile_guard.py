@@ -56,7 +56,7 @@ class TestProfileGuard:
         )
         err = capsys.readouterr().err
         assert "profile" in err
-        assert "ode.steady_state.solves" in err
+        assert "core.cmfsd.root.solves" in err
         assert "runner.experiments" in err
 
     def test_trace_flag_writes_perfetto_loadable_json(self, tmp_path, capsys):

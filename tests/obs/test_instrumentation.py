@@ -167,7 +167,7 @@ class TestRunnerInstrumentation:
             summary = run_experiments(["figure4bc"])
         (result,) = summary.results
         assert result.obs is not None
-        assert result.obs["counters"]["ode.steady_state.solves"] > 0
+        assert result.obs["counters"]["core.cmfsd.root.solves"] > 0
         round_tripped = type(result).from_dict(result.to_dict())
         assert round_tripped.obs == result.obs
 
