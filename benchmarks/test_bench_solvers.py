@@ -1,10 +1,10 @@
-"""Benchmark: the production steady-state solver against its oracle on Eq. (5).
+"""Benchmark: the reference steady-state drivers on Eq. (5).
 
-DESIGN.md calls out the choice of pseudo-transient continuation + Newton as
-the production numerical driver; this bench times it beside
-``integrate_to_steady_state`` (follow the flow until it stops) on the
-hardest model in the paper (CMFSD at K=10) and asserts both agree with
-the CMFSD scalar root (``CMFSDModel.steady_state``).
+Times pseudo-transient continuation + Newton (``find_steady_state``) beside
+``integrate_to_steady_state`` (follow the flow until it stops), the two
+drivers of ``repro.ode.reference``, on the hardest model in the paper
+(CMFSD at K=10) and asserts both agree with the production CMFSD scalar
+root (``CMFSDModel.steady_state``).
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core import CMFSDModel, CorrelationModel, PAPER_PARAMETERS
-from repro.ode import (
-    SteadyStateOptions,
-    find_steady_state,
-    integrate_to_steady_state,
-)
+from repro.ode import SteadyStateOptions
+from repro.ode.reference import find_steady_state, integrate_to_steady_state
 
 
 def _model():

@@ -153,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the failures)",
         )
         p.add_argument(
-            "--warm-start",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="thread each stationary point into the next solve on "
-            "CMFSD parameter sweeps (default: enabled; --no-warm-start "
-            "forces cold solves at every sweep point)",
-        )
-        p.add_argument(
             "--profile",
             action="store_true",
             help="collect solver/simulator/runner metrics and print the "
@@ -290,21 +282,6 @@ def _resolve_cache_dir(args) -> Path | None:
     if args.cache_dir is not None:
         return Path(args.cache_dir)
     return Path(args.out) / ".cache"
-
-
-#: experiments whose drivers take a ``warm_start`` keyword (CMFSD sweeps)
-_WARM_START_EXPERIMENTS = ("figure4a", "figure4bc", "adapt", "sensitivity")
-
-
-def _warm_start_kwargs(args) -> dict[str, dict] | None:
-    """Per-experiment overrides for ``--no-warm-start``.
-
-    Only the disabled case injects kwargs: the default run keeps empty
-    kwargs so its cache keys are identical to runs from older versions.
-    """
-    if args.warm_start:
-        return None
-    return {eid: {"warm_start": False} for eid in _WARM_START_EXPERIMENTS}
 
 
 def _print_outcome(outcome, out_dir: Path) -> None:
@@ -501,7 +478,6 @@ def main(argv: list[str] | None = None) -> int:
                     cache_dir=cache_dir,
                     use_cache=cache_dir is not None,
                     force=args.force,
-                    kwargs_map=_warm_start_kwargs(args),
                     retries=args.retries,
                     task_timeout=args.task_timeout,
                     keep_going=args.keep_going,
@@ -605,7 +581,6 @@ def main(argv: list[str] | None = None) -> int:
                     jobs=args.jobs,
                     cache_dir=_resolve_cache_dir(args),
                     force=args.force,
-                    kwargs_map=_warm_start_kwargs(args),
                     progress=progress,
                     retries=args.retries,
                     task_timeout=args.task_timeout,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cmfsd import CMFSDModel, steady_state_path
+from repro.core.cmfsd import CMFSDModel
 from repro.core.metrics import SystemMetrics
 from repro.core.parameters import FluidParameters
 
@@ -162,7 +162,6 @@ def adapt_fixed_point(
     *,
     cheater_classes: tuple[int, ...] = (),
     max_rounds: int = 100,
-    warm_start: bool = True,
 ) -> AdaptTrace:
     """Iterate the Adapt rule on the fluid model until ``rho`` settles.
 
@@ -170,12 +169,9 @@ def adapt_fixed_point(
     pinned at ``rho = 1``); each round solves the CMFSD steady state at the
     current per-class ``rho`` vector, feeds each class its ``Delta_i`` and
     applies the update.  Classes that are empty (``lambda_i = 0`` or class 1,
-    which never virtual-seeds) keep their ``rho`` untouched.
-
-    With ``warm_start`` (the default) each round's stationary point comes
-    from the CMFSD scalar root (:func:`repro.core.cmfsd.steady_state_path`);
-    ``warm_start=False`` solves every round cold with the numerical driver
-    instead (the reference the equivalence tests compare against).
+    which never virtual-seeds) keep their ``rho`` untouched.  Each round's
+    stationary point comes from the CMFSD scalar root
+    (:meth:`CMFSDModel.steady_state`).
     """
     K = params.num_files
     rates = np.asarray(class_rates, dtype=float)
@@ -195,7 +191,7 @@ def adapt_fixed_point(
     converged = False
     model = CMFSDModel(params=params, class_rates=rates, rho=rho)
     for _ in range(max_rounds):
-        (steady,) = steady_state_path([model], warm_start=warm_start)
+        steady = model.steady_state()
         deltas = model.virtual_seed_balance(steady)
         deltas_seen.append(deltas.copy())
         new_rho = rho.copy()
@@ -214,7 +210,7 @@ def adapt_fixed_point(
         model = CMFSDModel(params=params, class_rates=rates, rho=rho)
 
     final_model = CMFSDModel(params=params, class_rates=rates, rho=rho)
-    (final_steady,) = steady_state_path([final_model], warm_start=warm_start)
+    final_steady = final_model.steady_state()
     return AdaptTrace(
         rho_history=np.asarray(history),
         deltas=np.asarray(deltas_seen) if deltas_seen else np.empty((0, K)),

@@ -58,8 +58,10 @@ cap -- so the root is unique and a bracketed Newton iteration finds it
 (:func:`steady_state_path` solves a whole path of models in one
 vectorised root-find).  Without a sign change (``h(inf) <= 0``, possible
 only for ``gamma <= mu`` without a cap) Eq. (5) has no interior
-stationary point, and the numerical driver
-(:func:`repro.ode.find_steady_state`, Sec. 4.2.2 of the paper) answers.
+stationary point, and solving raises :class:`ValueError`, as the MTCD
+closed form does.  The paper solves Eq. (5) numerically (Sec. 4.2.2); that
+general-purpose driver (:func:`repro.ode.reference.find_steady_state`) is
+the reference the root is tested against.
 ``rho`` may be a scalar or a per-class vector, the latter enabling the
 Adapt mechanism's fluid-level analysis where classes tune their own
 ratio.
@@ -75,14 +77,7 @@ from repro.core.correlation import CorrelationModel
 from repro.core.metrics import ClassMetrics, SystemMetrics, aggregate_metrics
 from repro.core.parameters import FluidParameters
 from repro.obs import current_registry
-from repro.ode import (
-    IntegrationResult,
-    SteadyStateOptions,
-    find_steady_state,
-    integrate,
-    residual_norm,
-    solve_path,
-)
+from repro.ode import IntegrationResult, SteadyStateOptions, integrate, residual_norm
 
 __all__ = ["CMFSDModel", "CMFSDSteadyState", "StateIndex", "steady_state_path"]
 
@@ -321,11 +316,10 @@ class CMFSDModel:
         """Solve Eq. (5) to stationarity.
 
         The stationary point comes from the scalar root of the module
-        docstring's ``h(r)``; without a root the numerical driver
-        (:func:`repro.ode.find_steady_state`, from the empty torrent)
-        answers.  ``initial_state`` -- a nearby solution, e.g. the previous
-        point of a sweep -- only seeds the root's bracket, so a poor guess
-        cannot change the answer.
+        docstring's ``h(r)``; a model without a root raises
+        :class:`ValueError`.  ``initial_state`` -- a nearby solution, e.g.
+        the previous point of a sweep -- only seeds the root's bracket, so a
+        poor guess cannot change the answer.
         """
         if initial_state is not None:
             initial_state = np.asarray(initial_state, dtype=float)
@@ -426,10 +420,10 @@ def steady_state_path(
     arrival-rate sweep, ...), which must share one state dimension (same K).
 
     By default one vectorised root-find of the module docstring's ``h(r)``
-    serves every model of the path at once.  With ``warm_start=False``
-    every point is solved cold by the numerical driver from the empty
-    torrent (:func:`repro.ode.solve_path`) -- the reference the root is
-    tested against.
+    serves every model of the path at once.  ``warm_start=False`` is the
+    reference the root is tested against: every point is solved cold by
+    the numerical driver from the empty torrent
+    (:func:`repro.ode.reference.solve_path`).
     """
     models = list(models)
     if not models:
@@ -442,13 +436,9 @@ def steady_state_path(
             )
     if warm_start:
         return _stationary_points(models, options)
-    path = solve_path(
-        lambda m: m.rhs,
-        models,
-        np.zeros(dim),
-        options,
-        warm_start=False,
-    )
+    from repro.ode.reference import solve_path
+
+    path = solve_path(lambda m: m.rhs, models, np.zeros(dim), options)
     return [
         CMFSDSteadyState(
             index=m.index,
@@ -473,9 +463,9 @@ def _stationary_points(
 ) -> list[CMFSDSteadyState]:
     """Stationary points of ``models`` (one K) from one vectorised root-find.
 
-    Models without a root, or whose root state misses ``options.tol``,
-    fall back to :func:`repro.ode.find_steady_state` from the empty
-    torrent.  ``initial_state`` (single-model calls only) seeds the
+    A model without a root raises :class:`ValueError`; a root whose state
+    misses ``options.tol`` is returned with ``converged=False`` and its true
+    residual.  ``initial_state`` (single-model calls only) seeds the
     bracket.
     """
     tol = (options or SteadyStateOptions()).tol
@@ -497,7 +487,7 @@ def _stationary_points(
     )
 
     results: list[CMFSDSteadyState] = []
-    solves = fallbacks = 0
+    solves = not_converged = 0
     for k, m in enumerate(models):
         if not np.any(lam[k] > 0.0):
             results.append(
@@ -506,31 +496,26 @@ def _stationary_points(
                 )
             )
             continue
-        if has_root[k]:
-            d = np.minimum(tft[k] + mu[k] * ratios[k], cap[k])
-            state = np.concatenate([lam[k] / d, rates[k] / gamma[k]])
-            residual = residual_norm(m.rhs, state)
-            if residual < tol:
-                solves += 1
-                results.append(
-                    CMFSDSteadyState(index=idx, state=state, residual=residual, converged=True)
-                )
-                continue
-        fallbacks += 1
-        result = find_steady_state(m.rhs, np.zeros(idx.state_dim), options)
-        results.append(
-            CMFSDSteadyState(
-                index=idx,
-                state=np.clip(result.state, 0.0, None),
-                residual=result.residual,
-                converged=result.converged,
+        if not has_root[k]:
+            raise ValueError(
+                "Eq. (5) has no interior stationary point: h(inf) = "
+                "sum_i lambda_i*(i/mu - 1/gamma) <= 0 without a download cap "
+                f"(mu={m.params.mu}, gamma={m.params.gamma})"
             )
+        d = np.minimum(tft[k] + mu[k] * ratios[k], cap[k])
+        state = np.concatenate([lam[k] / d, rates[k] / gamma[k]])
+        residual = residual_norm(m.rhs, state)
+        solves += 1
+        not_converged += residual >= tol
+        results.append(
+            CMFSDSteadyState(index=idx, state=state, residual=residual, converged=residual < tol)
         )
     reg = current_registry()
     if reg.enabled:
         reg.inc("core.cmfsd.root.solves", solves)
         reg.inc("core.cmfsd.root.iterations", iterations)
-        reg.inc("core.cmfsd.root.fallbacks", fallbacks)
+        if not_converged:
+            reg.inc("core.cmfsd.root.not_converged", not_converged)
     return results
 
 

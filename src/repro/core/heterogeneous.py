@@ -19,16 +19,37 @@ Hence
 
 This is the paper's umbrella model: Eq. (1) (MTCD) is the special case
 ``mu_i = mu/i, c_i = c/i, gamma_i = gamma`` and the test-suite verifies that
-the closed form below reproduces Eq. (2) exactly in that case.
+the stationary point below reproduces Eq. (2) in that case.
+
+Stationary points reduce to one scalar equation.  At stationarity every
+class passes its arrival flow on, ``served_i = lambda_i = gamma_i*y_i``, so
+``y_i = lambda_i/gamma_i`` and the seed capacity is the constant
+``S = sum_l mu_l*lambda_l/gamma_l``.  Write ``D = sum_l c_l*x_l`` for the
+download-weighted population; then ``served_i = x_i * d_i(D)`` with
+``d_i(D) = min(eta*mu_i + c_i*S/D, c_i)`` (the second term the download
+cap), so
+
+    x_i = lambda_i / d_i(D),
+
+and ``D`` must reproduce itself: ``D = F(D) = sum_i c_i*lambda_i/d_i(D)``.
+Equivalently ``g(D) = F(D)/D - 1 = sum_i max(c_i*lambda_i/(eta*mu_i*D +
+c_i*S), lambda_i/D) - 1 = 0``.  ``g`` is strictly decreasing, tends to
+``+inf`` as ``D -> 0`` and to ``-1`` as ``D -> inf``, so for any mix with
+``sum lambda > 0`` the root is unique -- download-constrained (capped)
+classes included.  It lies in ``[sum lambda, sum lambda + sum
+c_i*lambda_i/(eta*mu_i)]`` (each term of ``F`` is at least ``lambda_i``
+and at most ``c_i*lambda_i/(eta*mu_i) + lambda_i``).  With proportional
+bandwidths ``mu_i/c_i = kappa`` and no class capped, ``D = (sum lambda -
+S)/(eta*kappa)``: the closed form is the root's special case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ode import SteadyStateOptions, SteadyStateResult, find_steady_state
+from repro.ode import SteadyStateOptions, residual_norm
 
 __all__ = ["PeerClass", "HeterogeneousModel", "HeterogeneousSteadyState"]
 
@@ -65,11 +86,20 @@ class PeerClass:
 
 @dataclass(frozen=True)
 class HeterogeneousSteadyState:
-    """Stationary populations and per-class download times."""
+    """Stationary populations, per-class download times and the solve's quality.
+
+    ``download_times`` are Little's-law ``x_i/lambda_i`` (NaN for a class
+    with ``lambda_i = 0``); ``residual`` is the true scaled
+    :func:`repro.ode.residual_norm` of the state ``[downloaders, seeds]``
+    and ``converged`` whether it met the default
+    :class:`~repro.ode.SteadyStateOptions` tolerance.
+    """
 
     downloaders: np.ndarray
     seeds: np.ndarray
     download_times: np.ndarray
+    residual: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -130,81 +160,83 @@ class HeterogeneousModel:
         return float(np.sum(mu * lam / gam))
 
     def is_stable(self) -> bool:
-        """Whether an interior (positive-downloader) steady state exists.
+        """Whether the stationary point is upload-constrained.
 
-        The upload-constrained model needs demand to exceed what the seeds
-        alone supply: ``sum lambda > stationary_seed_capacity()``.  Beyond
-        that boundary the downloader populations collapse to zero and the
-        real system becomes download-constrained -- a regime the paper's
-        models deliberately do not cover (the generalisation of the
-        ``gamma > mu`` condition of Eq. 4).
+        The paper's upload-constrained regime needs demand to exceed what
+        the seeds alone supply: ``sum lambda > stationary_seed_capacity()``.
+        Beyond that boundary seeds saturate demand and the stationary point
+        is download-constrained (:meth:`steady_state` still solves it) -- a
+        regime the paper's models deliberately do not cover (the
+        generalisation of the ``gamma > mu`` condition of Eq. 4).
         """
         _, _, lam, _ = self._arrays()
         total = float(np.sum(lam))
         return total > self.stationary_seed_capacity()
 
-    def has_proportional_bandwidth(self, rel_tol: float = 1e-12) -> bool:
-        """Whether ``mu_i / c_i`` is the same for every class.
-
-        Under this condition (which covers MTCD, where both bandwidths scale
-        as ``1/i``) the steady state is available in closed form.
-        """
-        mu, cdl, _, _ = self._arrays()
-        ratios = mu / cdl
-        return bool(np.all(np.abs(ratios - ratios[0]) <= rel_tol * np.abs(ratios[0])))
-
     def steady_state(self) -> HeterogeneousSteadyState:
-        """Closed-form steady state (requires proportional bandwidths).
+        """Stationary point for any bandwidth mix, from the scalar root of
+        the module docstring's ``g(D)``.
 
-        With ``kappa = mu_i/c_i`` constant, ``y_i = lambda_i/gamma_i`` and
-        ``x_i*c_i`` is proportional to ``lambda_i``:
-
-            x_i = lambda_i * (sum lambda - S_seed) / (eta*kappa*c_i*sum lambda)
-
-        where ``S_seed = sum_l mu_l*lambda_l/gamma_l`` is the stationary seed
-        capacity.  Raises if the proportionality does not hold or if seeds
-        alone can serve all demand (no positive downloader population).
+        An empty workload (``sum lambda = 0``) is the zero state.
         """
-        if not self.has_proportional_bandwidth():
-            raise ValueError(
-                "closed form requires mu_i/c_i constant across classes; "
-                "use steady_state_numeric() instead"
-            )
         mu, cdl, lam, gam = self._arrays()
-        total = float(np.sum(lam))
-        if total == 0.0:
-            zeros = np.zeros(self.num_classes)
-            return HeterogeneousSteadyState(zeros, zeros, np.full(self.num_classes, np.nan))
-        kappa = float(mu[0] / cdl[0])
-        seed_capacity = float(np.sum(mu * lam / gam))
-        surplus = total - seed_capacity
-        if surplus <= 0:
-            raise ValueError(
-                "unstable configuration: stationary seed capacity "
-                f"{seed_capacity:.6g} >= total demand {total:.6g}"
-            )
-        x = lam * surplus / (self.eta * kappa * cdl * total)
-        y = lam / gam
-        if np.any(cdl * x < lam - 1e-12):
-            raise ValueError(
-                "download-constrained regime: some class's download capacity "
-                "cannot absorb its steady-state service; the closed form "
-                "(and the paper's upload-constrained assumption) do not apply"
-            )
+        seeds = lam / gam
+        if np.any(lam > 0.0):
+            tft = self.eta * mu
+            seed_capacity = float(np.sum(mu * seeds))
+            scale = _stationary_scale(lam, cdl, tft, seed_capacity)
+            downloaders = lam / np.minimum(tft + cdl * seed_capacity / scale, cdl)
+        else:
+            downloaders = np.zeros(self.num_classes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            times = np.where(lam > 0, x / lam, np.nan)
-        return HeterogeneousSteadyState(downloaders=x, seeds=y, download_times=times)
+            times = np.where(lam > 0, downloaders / lam, np.nan)
+        residual = residual_norm(self.rhs, np.concatenate([downloaders, seeds]))
+        return HeterogeneousSteadyState(
+            downloaders=downloaders,
+            seeds=seeds,
+            download_times=times,
+            residual=residual,
+            converged=residual < SteadyStateOptions().tol,
+        )
 
-    def steady_state_numeric(
-        self, options: SteadyStateOptions | None = None
-    ) -> SteadyStateResult:
-        """Numerical stationary point (works for arbitrary bandwidth mixes)."""
-        return find_steady_state(self.rhs, np.zeros(self.state_dim), options)
 
-    def download_times_from_state(self, state: np.ndarray) -> np.ndarray:
-        """Little's-law download times ``x_i / lambda_i`` from a state vector."""
-        S = self.num_classes
-        _, _, lam, _ = self._arrays()
-        x = np.asarray(state[:S], dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(lam > 0, x / lam, np.nan)
+#: Iteration cap of the root-find.  Newton from inside the bracket converges
+#: quadratically; a step leaving the bracket is replaced by bisection, so the
+#: cap is only a guard.
+ROOT_MAX_ITER = 100
+
+
+def _stationary_scale(
+    lam: np.ndarray, cdl: np.ndarray, tft: np.ndarray, seed_capacity: float
+) -> float:
+    """The root ``D`` of ``g(D)`` for one model (``sum lam > 0``).
+
+    Newton runs on ``phi(D) = D/F(D) - 1``, increasing like ``-g`` and
+    linear in ``D`` when bandwidths are proportional and no class is
+    capped, so that case lands in one step.  It starts at the bracket's
+    lower end ``sum lam`` (where ``F >= D``); a step leaving the bracket is
+    replaced by bisection.
+    """
+    lo = float(np.sum(lam))
+    hi = lo + float(np.sum(cdl * lam / tft))
+    scale = lo
+    for _ in range(ROOT_MAX_ITER):
+        rate = tft + cdl * seed_capacity / scale
+        d = np.minimum(rate, cdl)
+        flow = float(np.sum(cdl * lam / d))
+        if flow > scale:
+            lo = scale
+        elif flow < scale:
+            hi = scale
+        else:
+            break
+        # dF/dD; a capped class contributes the constant lambda_i to F
+        uncapped = cdl * cdl * lam * seed_capacity / (scale * d) ** 2
+        slope = float(np.sum(np.where(rate >= cdl, 0.0, uncapped)))
+        step = scale - (scale - flow) * flow / (flow - scale * slope)
+        nxt = step if lo <= step <= hi else 0.5 * (lo + hi)
+        done = abs(nxt - scale) <= 4.0 * np.finfo(float).eps * nxt
+        scale = nxt
+        if done:
+            break
+    return scale

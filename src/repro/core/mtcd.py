@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.correlation import CorrelationModel
 from repro.core.metrics import ClassMetrics, SystemMetrics, aggregate_metrics
 from repro.core.parameters import FluidParameters
-from repro.ode import SteadyStateOptions, SteadyStateResult, find_steady_state
 
 __all__ = ["MTCDModel", "MTCDSteadyState"]
 
@@ -172,12 +171,6 @@ class MTCDModel:
             seeds=rates / self.params.gamma,
             download_time_per_file=c,
         )
-
-    def steady_state_numeric(
-        self, options: SteadyStateOptions | None = None
-    ) -> SteadyStateResult:
-        """Numerical stationary point of Eq. (1), for cross-validation."""
-        return find_steady_state(self.rhs, np.zeros(self.state_dim), options)
 
     # ----- metrics ------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.parameters import FluidParameters
-from repro.ode import SteadyStateOptions, SteadyStateResult, find_steady_state
 
 __all__ = ["SingleTorrentModel", "SingleTorrentSteadyState"]
 
@@ -92,10 +91,3 @@ class SingleTorrentModel:
             download_time=download_time,
             online_time=download_time + 1.0 / p.gamma,
         )
-
-    def steady_state_numeric(
-        self, options: SteadyStateOptions | None = None
-    ) -> SteadyStateResult:
-        """Numerical stationary point, for cross-checking the closed form."""
-        y0 = np.zeros(self.state_dim)
-        return find_steady_state(self.rhs, y0, options)

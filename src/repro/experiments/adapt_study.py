@@ -37,7 +37,6 @@ def _fluid_rows(
     correlations: tuple[float, ...],
     band_fractions: tuple[float, ...],
     max_rounds: int,
-    warm_start: bool,
 ) -> list[tuple]:
     rows: list[tuple] = []
     for p in correlations:
@@ -60,7 +59,6 @@ def _fluid_rows(
                     policy,
                     cheater_classes=cheaters,
                     max_rounds=max_rounds,
-                    warm_start=warm_start,
                 )
                 obedient = [
                     i - 1
@@ -154,14 +152,8 @@ def run(
     sim_t_end: float = 2000.0,
     sim_warmup: float = 600.0,
     seed: int = 7,
-    warm_start: bool = True,
 ) -> ExperimentResult:
-    """Sweep Adapt parameters at the fluid level (and optionally in the sim).
-
-    ``warm_start`` threads each Adapt round's stationary point into the
-    next round's solve (see :func:`repro.core.adapt.adapt_fixed_point`);
-    disable it to force cold solves everywhere (``--no-warm-start``).
-    """
+    """Sweep Adapt parameters at the fluid level (and optionally in the sim)."""
     headers = (
         "level",
         "p",
@@ -171,7 +163,7 @@ def run(
         "avg_online_per_file",
         "rounds_or_users",
     )
-    rows = _fluid_rows(params, correlations, band_fractions, max_rounds, warm_start)
+    rows = _fluid_rows(params, correlations, band_fractions, max_rounds)
     if include_sim:
         rows.extend(
             _sim_rows(

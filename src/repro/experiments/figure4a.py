@@ -27,14 +27,11 @@ def run(
     *,
     p_values: np.ndarray | None = None,
     rho_values: np.ndarray | None = None,
-    warm_start: bool = True,
 ) -> ExperimentResult:
     """Sweep (p, rho) and solve the CMFSD steady state at each point.
 
     Each grid row is one path along rho, solved by one vectorised scalar
-    root-find (:func:`repro.core.cmfsd.steady_state_path`);
-    ``warm_start=False`` solves every grid point cold with the numerical
-    driver, for cross-checking.
+    root-find (:func:`repro.core.cmfsd.steady_state_path`).
     """
     if p_values is None:
         p_values = np.linspace(0.1, 1.0, 10)
@@ -61,7 +58,7 @@ def run(
             CMFSDModel.from_correlation(params, corr, rho=float(rho))
             for rho in rho_values
         ]
-        steadies = steady_state_path(models, warm_start=warm_start)
+        steadies = steady_state_path(models)
         for b, (rho, model, steady) in enumerate(zip(rho_values, models, steadies)):
             grid[a, b] = model.system_metrics(steady).avg_online_time_per_file
             rows.append((float(p), float(rho), float(grid[a, b]), float(mfcd_ref[a])))

@@ -32,14 +32,11 @@ def run(
     *,
     correlations: tuple[float, ...] = (0.9, 0.1),
     rho_values: tuple[float, ...] = (0.1, 0.9),
-    warm_start: bool = True,
 ) -> ExperimentResult:
     """Per-class CMFSD/MFCD comparison at the paper's settings.
 
     The CMFSD stationary points along the rho grid come from one
-    vectorised scalar root-find (:func:`repro.core.cmfsd.steady_state_path`);
-    pass ``warm_start=False`` to solve every point cold with the numerical
-    driver instead.
+    vectorised scalar root-find (:func:`repro.core.cmfsd.steady_state_path`).
     """
     classes = list(range(1, params.num_files + 1))
     headers = (
@@ -71,7 +68,7 @@ def run(
         models = [
             CMFSDModel.from_correlation(params, corr, rho=rho) for rho in rho_values
         ]
-        steadies = steady_state_path(models, warm_start=warm_start)
+        steadies = steady_state_path(models)
         for rho, model, steady in zip(rho_values, models, steadies):
             cmfsd_metrics[rho] = [model.class_metrics(i, steady) for i in classes]
         series: dict[str, tuple[np.ndarray, np.ndarray]] = {}

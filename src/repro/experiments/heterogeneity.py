@@ -9,10 +9,11 @@ model on a realistic access-link mix inside one torrent:
 * cable peers        (the paper's baseline)
 * fibre peers        (fast both ways)
 
-For each mix we solve the steady state numerically (no closed form exists
-once ``mu_i/c_i`` varies) and report per-class download times, then sweep
-the fibre fraction to show how a few fast uploaders subsidise everyone --
-the same effect CMFSD engineers deliberately with virtual seeds.
+For each mix we solve the stationary point (one scalar root,
+:meth:`HeterogeneousModel.steady_state`; the closed form needs ``mu_i/c_i``
+constant) and report per-class download times, then sweep the fibre
+fraction to show how a few fast uploaders subsidise everyone -- the same
+effect CMFSD engineers deliberately with virtual seeds.
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ def run(
                 f"boundary f* = {f_crit:.3f}: stationary seeds alone would "
                 "saturate demand (the system becomes download-constrained)"
             )
-        result = model.steady_state_numeric()
-        if not result.converged:
+        steady = model.steady_state()
+        if not steady.converged:
             raise RuntimeError(f"steady state failed to converge at fibre={frac}")
-        times = model.download_times_from_state(result.state)
+        times = steady.download_times
         lam = np.array([c.arrival_rate for c in model.classes])
         mean_t = float(np.sum(times * lam) / np.sum(lam))
         if frac > 0:

@@ -41,7 +41,6 @@ def generate_report(
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
     force: bool = False,
-    kwargs_map: dict | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
     keep_going: bool = False,
@@ -52,9 +51,7 @@ def generate_report(
     written next to it.  ``jobs`` fans execution across a process pool;
     cached results are replayed from ``cache_dir`` (default
     ``<out_dir>/.cache``) unless ``use_cache`` is off or ``force``
-    bypasses the lookup.  ``kwargs_map`` passes per-experiment keyword
-    overrides through to the drivers (they participate in cache keys, so
-    overridden runs never collide with default runs).
+    bypasses the lookup.
 
     ``retries``/``task_timeout``/``keep_going`` follow
     :func:`repro.runner.run_experiments`: with ``keep_going=True`` a
@@ -72,7 +69,6 @@ def generate_report(
         if use_cache
         else None,
         force=force,
-        kwargs_map=kwargs_map,
         retries=retries,
         task_timeout=task_timeout,
         keep_going=keep_going,

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.tables import format_table
-from repro.core.cmfsd import CMFSDModel, steady_state_path
+from repro.core.cmfsd import CMFSDModel
 from repro.core.correlation import CorrelationModel
 from repro.core.parameters import FluidParameters, PAPER_PARAMETERS
 from repro.core.schemes import Scheme, evaluate_scheme
@@ -31,13 +31,10 @@ from repro.experiments.base import ExperimentResult, FigureSpec
 __all__ = ["run"]
 
 
-def _evaluate(
-    params: FluidParameters, p: float, warm_start: bool
-) -> tuple[float, float, float, float]:
+def _evaluate(params: FluidParameters, p: float) -> tuple[float, float, float, float]:
     """Times of all four schemes.
 
-    MTCD/MTSD/MFCD have closed forms; CMFSD comes from its scalar root, or
-    from a cold numerical solve with ``warm_start=False``.
+    MTCD/MTSD/MFCD have closed forms; CMFSD comes from its scalar root.
     """
     corr = CorrelationModel(num_files=params.num_files, p=p)
     closed = tuple(
@@ -45,8 +42,7 @@ def _evaluate(
         for s in (Scheme.MTCD, Scheme.MTSD, Scheme.MFCD)
     )
     model = CMFSDModel.from_correlation(params, corr, rho=0.0)
-    (steady,) = steady_state_path([model], warm_start=warm_start)
-    return closed + (model.system_metrics(steady).avg_online_time_per_file,)
+    return closed + (model.system_metrics().avg_online_time_per_file,)
 
 
 def run(
@@ -55,13 +51,8 @@ def run(
     p: float = 0.9,
     eta_values: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0),
     gamma_values: tuple[float, ...] = (0.022, 0.03, 0.05, 0.1, 0.2),
-    warm_start: bool = True,
 ) -> ExperimentResult:
-    """Sweep eta and gamma; record scheme times and headline ratios.
-
-    ``warm_start=False`` solves every CMFSD point cold with the numerical
-    driver instead of the scalar root, for cross-checking.
-    """
+    """Sweep eta and gamma; record scheme times and headline ratios."""
     headers = (
         "parameter",
         "value",
@@ -74,12 +65,12 @@ def run(
     )
     rows: list[tuple] = []
     for eta in eta_values:
-        mtcd, mtsd, mfcd, cmfsd = _evaluate(params.with_(eta=eta), p, warm_start)
+        mtcd, mtsd, mfcd, cmfsd = _evaluate(params.with_(eta=eta), p)
         rows.append(("eta", eta, mtcd, mtsd, mfcd, cmfsd, mtcd / mtsd, mfcd / cmfsd))
     for gamma in gamma_values:
         if gamma <= params.mu:
             raise ValueError(f"gamma={gamma} violates the stability condition gamma > mu")
-        mtcd, mtsd, mfcd, cmfsd = _evaluate(params.with_(gamma=gamma), p, warm_start)
+        mtcd, mtsd, mfcd, cmfsd = _evaluate(params.with_(gamma=gamma), p)
         rows.append(
             ("gamma", gamma, mtcd, mtsd, mfcd, cmfsd, mtcd / mtsd, mfcd / cmfsd)
         )

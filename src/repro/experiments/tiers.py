@@ -4,8 +4,9 @@ Commercial and community trackers sell *service tiers*: premium users get
 more upload (and often longer-seeding) capacity than economy users sharing
 the same swarm.  This experiment expresses such a mix as a declarative
 scenario (:mod:`repro.scenario` -- the same document shape as
-``examples/tiers.yaml``) and compiles it onto the Sec.-2 heterogeneous
-fluid model to answer two questions:
+``examples/tiers.yaml``) and runs it through the scenario driver
+(:func:`repro.scenario.run_spec`), which solves the Sec.-2 heterogeneous
+fluid model's stationary point, to answer two questions:
 
 * how large is the service gap -- per-tier steady-state download times for
   a premium / standard / economy mix, and
@@ -23,13 +24,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult, FigureSpec
-from repro.scenario import (
-    ParamsSpec,
-    ScenarioSpec,
-    TierSpec,
-    WorkloadSpec,
-    compile_fluid,
-)
+from repro.scenario import ParamsSpec, ScenarioSpec, TierSpec, WorkloadSpec
 from repro.core.schemes import Scheme
 
 __all__ = ["run", "build_spec"]
@@ -57,44 +52,26 @@ def build_spec(*, premium_upload: float = 0.04) -> ScenarioSpec:
     )
 
 
-def _tier_times(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(downloaders, seeds, download times) per tier at the steady state."""
-    model = compile_fluid(spec)
-    result = model.steady_state_numeric()
-    if not result.converged:
-        raise RuntimeError("heterogeneous steady state failed to converge")
-    S = model.num_classes
-    times = model.download_times_from_state(result.state)
-    return result.state[:S], result.state[S:], np.asarray(times)
-
-
 def run(
     *,
     premium_uploads: tuple[float, ...] = (0.02, 0.03, 0.04, 0.06, 0.08),
     base_premium_upload: float = 0.04,
 ) -> ExperimentResult:
     """Tiered mix at the base point, plus the premium-upload sweep."""
+    # the scenario driver imports the experiments package: import it late
+    from repro.scenario import run_spec
+
     if not premium_uploads:
         raise ValueError("need at least one premium upload value")
     base = build_spec(premium_upload=base_premium_upload)
-    downloaders, seeds, base_times = _tier_times(base)
+    # one row per tier: name, upload, download, share, downloaders, seeds,
+    # download_time
+    base_result = run_spec(base)
+    base_times = np.array([row[-1] for row in base_result.rows])
     tier_names = [t.name for t in base.tiers]
-
-    base_rows = tuple(
-        (
-            t.name,
-            t.upload,
-            t.download,
-            t.share,
-            float(downloaders[i]),
-            float(seeds[i]),
-            float(base_times[i]),
-        )
-        for i, t in enumerate(base.tiers)
-    )
     base_table = format_table(
-        ("tier", "upload", "download", "share", "downloaders", "seeds", "download_time"),
-        base_rows,
+        base_result.headers,
+        base_result.rows,
         title=(
             f"Steady state of the tiered mix "
             f"(premium upload {base_premium_upload}, eta={base.params.eta})"
@@ -104,8 +81,8 @@ def run(
     headers = ("premium_upload", *(f"time_{name}" for name in tier_names))
     sweep: list[tuple] = []
     for upload in premium_uploads:
-        _, _, times = _tier_times(build_spec(premium_upload=upload))
-        sweep.append((float(upload), *(float(t) for t in times)))
+        times = [row[-1] for row in run_spec(build_spec(premium_upload=upload)).rows]
+        sweep.append((float(upload), *times))
     rows = tuple(sweep)
     sweep_table = format_table(
         headers,

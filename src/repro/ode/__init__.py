@@ -8,10 +8,14 @@ them and to locate their stationary points:
   Dormand--Prince RK45 implemented from scratch, plus a thin wrapper around
   :func:`scipy.integrate.solve_ivp`.  Having two independent implementations
   lets the test-suite cross-check every model.
-* :mod:`repro.ode.steady_state` -- the pseudo-transient continuation +
-  Newton production driver, damped Newton iteration with a numerical
-  Jacobian, and the integrate-to-convergence driver it is checked
-  against.
+* :mod:`repro.ode.steady_state` -- :class:`SteadyStateOptions` and the
+  scaled :func:`residual_norm` every stationary point is judged by.  The
+  models solve their own stationary points (a closed form or one monotone
+  scalar root each).
+* :mod:`repro.ode.reference` -- the oracle: pseudo-transient continuation
+  + Newton, damped Newton with a numerical Jacobian, and the
+  integrate-to-convergence driver.  Tests and benchmarks import it by
+  name; this package does not.
 * :mod:`repro.ode.events` -- time-grid helpers and dense-output sampling.
 
 All solvers operate on plain callables ``f(t, y) -> dy/dt`` over
@@ -25,15 +29,7 @@ from repro.ode.integrators import (
     integrate_scipy,
     integrate,
 )
-from repro.ode.steady_state import (
-    SteadyStateOptions,
-    PathResult,
-    integrate_to_steady_state,
-    newton_steady_state,
-    find_steady_state,
-    solve_path,
-    residual_norm,
-)
+from repro.ode.steady_state import SteadyStateOptions, residual_norm
 from repro.ode.events import time_grid, sample_dense
 
 __all__ = [
@@ -44,11 +40,6 @@ __all__ = [
     "integrate_scipy",
     "integrate",
     "SteadyStateOptions",
-    "PathResult",
-    "integrate_to_steady_state",
-    "newton_steady_state",
-    "find_steady_state",
-    "solve_path",
     "residual_norm",
     "time_grid",
     "sample_dense",

@@ -94,7 +94,8 @@ class SteadyStateResult:
         Whether the requested tolerance was met.
     n_iterations:
         Newton iterations, integration blocks, or continuation
-        steps plus Newton iterations (:func:`find_steady_state`) used.
+        steps plus Newton iterations
+        (:func:`repro.ode.reference.find_steady_state`) used.
     method:
         Name of the algorithm that produced the state.
     trajectory:

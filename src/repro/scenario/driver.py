@@ -115,17 +115,14 @@ def _run_fluid_and_sim(spec: ScenarioSpec, experiment_id: str) -> ExperimentResu
 
 
 def _run_tiers(spec: ScenarioSpec, experiment_id: str) -> ExperimentResult:
-    """Tiered spec: per-tier download times from the heterogeneous model."""
-    model = compile_fluid(spec)
-    result = model.steady_state_numeric()
-    if not result.converged:
+    """Tiered spec: per-tier populations and download times from the
+    heterogeneous model's stationary point."""
+    steady = compile_fluid(spec).steady_state()
+    if not steady.converged:
         raise RuntimeError(
             f"steady state failed to converge for spec {experiment_id!r}"
         )
-    times = model.download_times_from_state(result.state)
-    S = model.num_classes
-    downloaders = result.state[:S]
-    seeds = result.state[S:]
+    times = steady.download_times
     headers = (
         "tier",
         "upload",
@@ -141,8 +138,8 @@ def _run_tiers(spec: ScenarioSpec, experiment_id: str) -> ExperimentResult:
             t.upload,
             t.download,
             t.share,
-            float(downloaders[i]),
-            float(seeds[i]),
+            float(steady.downloaders[i]),
+            float(steady.seeds[i]),
             float(times[i]),
         )
         for i, t in enumerate(spec.tiers)

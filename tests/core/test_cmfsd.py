@@ -190,8 +190,8 @@ class TestWarmStart:
             model.steady_state(initial_state=np.zeros(3))
 
     def test_poor_guess_falls_back_to_robust_path(self, paper_params):
-        """A wild guess must not poison the answer: the robust integrate+
-        Newton path is the fallback."""
+        """A wild guess must not poison the answer: it only seeds the
+        root's bracket."""
         model = make_model(paper_params, 0.9, 0.2)
         reference = model.steady_state()
         wild = model.steady_state(

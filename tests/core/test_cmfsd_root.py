@@ -3,9 +3,9 @@
 The production solver (:meth:`CMFSDModel.steady_state` and
 :func:`steady_state_path`) builds the stationary point of Eq. (5) from one
 monotone scalar equation.  These tests hold it to the numerical ODE driver
-(:func:`repro.ode.find_steady_state`, the reference), to a tight Newton
-reference where rare classes magnify any slack, and to the counted
-fallback when no root exists.
+(:func:`repro.ode.reference.find_steady_state`, the reference), to a tight
+Newton reference where rare classes magnify any slack, and check that a
+model without a root raises.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from repro.core import CMFSDModel, CorrelationModel, FluidParameters, PAPER_PARAMETERS
 from repro.core.cmfsd import CMFSDSteadyState, StateIndex, steady_state_path
 from repro.obs import capture
-from repro.ode import (
-    SteadyStateOptions,
+from repro.ode import SteadyStateOptions, residual_norm
+from repro.ode.reference import (
     find_steady_state,
     integrate_to_steady_state,
     newton_steady_state,
-    residual_norm,
 )
 
 
@@ -122,18 +121,22 @@ class TestRareClasses:
 
 
 class TestFallback:
-    def test_no_root_takes_counted_fallback(self):
+    """The edge of the root's domain: without a root the model raises, and a
+    download cap restores the root."""
+
+    def test_no_root_raises(self):
         # K = 1 with gamma < mu and no cap: h(inf) = lambda*(1/mu - 1/gamma) < 0
         params = FluidParameters(mu=0.05, eta=0.5, gamma=0.02, num_files=1)
         model = CMFSDModel(params=params, class_rates=np.array([1.0]), rho=0.5)
-        with capture(trace=False) as obs:
-            steady = model.steady_state()
-        counters = obs.registry.counters
-        assert counters["core.cmfsd.root.fallbacks"] == 1
-        assert counters["core.cmfsd.root.solves"] == 0
-        reference = find_steady_state(model.rhs, np.zeros(model.state_dim))
-        np.testing.assert_array_equal(steady.state, np.clip(reference.state, 0.0, None))
-        assert steady.converged == reference.converged
+        with pytest.raises(ValueError, match="no interior stationary point"):
+            model.steady_state()
+        # one rootless model fails its whole path
+        stable = CMFSDModel(
+            params=params.with_(gamma=0.1), class_rates=np.array([1.0]), rho=0.5
+        )
+        assert stable.steady_state().converged
+        with pytest.raises(ValueError, match="no interior stationary point"):
+            steady_state_path([stable, model])
 
     def test_cap_restores_the_root(self):
         params = FluidParameters(
@@ -142,7 +145,7 @@ class TestFallback:
         model = CMFSDModel(params=params, class_rates=np.array([1.0]), rho=0.5)
         with capture(trace=False) as obs:
             steady = model.steady_state()
-        assert obs.registry.counters["core.cmfsd.root.fallbacks"] == 0
+        assert obs.registry.counters["core.cmfsd.root.solves"] == 1
         assert steady.converged and steady.residual <= 1e-12
 
 
@@ -153,7 +156,7 @@ class TestCountersAndGuesses:
             steady_state_path(models_)
         counters = obs.registry.counters
         assert counters["core.cmfsd.root.solves"] == len(models_)
-        assert counters["core.cmfsd.root.fallbacks"] == 0
+        assert "core.cmfsd.root.not_converged" not in counters
         assert 1 <= counters["core.cmfsd.root.iterations"] <= 10
         assert "ode.rhs_evals" not in counters
 

@@ -11,10 +11,11 @@ from repro.core import (
     MTCDModel,
     PeerClass,
 )
+from repro.ode.reference import find_steady_state
 
 
 def proportional_classes(lam=(1.0, 0.5), mu=0.02, c=0.2, gamma=0.05):
-    """Classes with mu_i/c_i constant (closed form applies)."""
+    """Classes with mu_i/c_i constant (the closed form's special case)."""
     return tuple(
         PeerClass(
             upload=mu / (k + 1),
@@ -50,37 +51,13 @@ class TestValidation:
 
 
 class TestClosedForm:
-    def test_proportionality_detection(self):
-        model = HeterogeneousModel(classes=proportional_classes())
-        assert model.has_proportional_bandwidth()
-        skewed = HeterogeneousModel(
-            classes=(
-                PeerClass(0.02, 0.2, 1.0, 0.05),
-                PeerClass(0.02, 0.1, 1.0, 0.05),
-            )
-        )
-        assert not skewed.has_proportional_bandwidth()
+    """Proportional bandwidths: the root reproduces the closed form."""
 
     def test_closed_form_is_stationary(self):
         model = HeterogeneousModel(classes=proportional_classes((1.0, 0.4, 0.2)))
         ss = model.steady_state()
         state = np.concatenate([ss.downloaders, ss.seeds])
         np.testing.assert_allclose(model.rhs(0.0, state), 0.0, atol=1e-12)
-
-    def test_closed_form_rejected_without_proportionality(self):
-        model = HeterogeneousModel(
-            classes=(
-                PeerClass(0.02, 0.2, 1.0, 0.05),
-                PeerClass(0.04, 0.2, 1.0, 0.05),
-            )
-        )
-        with pytest.raises(ValueError, match="closed form"):
-            model.steady_state()
-
-    def test_unstable_raises(self):
-        classes = (PeerClass(upload=0.06, download=0.6, arrival_rate=1.0, seed_departure_rate=0.05),)
-        with pytest.raises(ValueError, match="unstable"):
-            HeterogeneousModel(classes=classes).steady_state()
 
     def test_reproduces_mtcd_equation2(self, paper_params):
         """MTCD is the special case mu_i = mu/i, c_i = c/i."""
@@ -106,34 +83,56 @@ class TestNumeric:
     def test_numeric_matches_closed_form(self, fast_steady_options):
         model = HeterogeneousModel(classes=proportional_classes((0.8, 0.3)))
         ss = model.steady_state()
-        numeric = model.steady_state_numeric(fast_steady_options)
+        numeric = find_steady_state(model.rhs, np.zeros(model.state_dim), fast_steady_options)
         assert numeric.converged
         expected = np.concatenate([ss.downloaders, ss.seeds])
         np.testing.assert_allclose(numeric.state, expected, rtol=1e-5, atol=1e-9)
 
-    def test_general_mix_converges_and_balances(self, fast_steady_options):
-        """Non-proportional mix: numeric steady state, flow balance checks."""
+    def test_non_proportional_mix_is_stationary(self):
+        model = HeterogeneousModel(
+            classes=(
+                PeerClass(0.02, 0.2, 1.0, 0.05),
+                PeerClass(0.04, 0.2, 1.0, 0.05),
+            )
+        )
+        ss = model.steady_state()
+        assert ss.converged
+        state = np.concatenate([ss.downloaders, ss.seeds])
+        np.testing.assert_allclose(model.rhs(0.0, state), 0.0, atol=1e-12)
+        # the faster uploader earns more tit-for-tat service
+        assert ss.download_times[1] < ss.download_times[0]
+
+    def test_seed_saturated_mix_is_download_constrained(self):
+        # seeds alone out-supply demand: the download link caps the service
+        model = HeterogeneousModel(classes=(PeerClass(0.06, 0.6, 1.0, 0.05),))
+        assert not model.is_stable()
+        ss = model.steady_state()
+        assert ss.converged and ss.residual <= 1e-12
+        np.testing.assert_allclose(ss.downloaders, [1.0 / 0.6], rtol=1e-14)
+
+    def test_general_mix_converges_and_balances(self):
+        """Non-proportional mix: one root, flow balance checks."""
         classes = (
             PeerClass(upload=0.01, download=0.30, arrival_rate=0.7, seed_departure_rate=0.05),
             PeerClass(upload=0.03, download=0.10, arrival_rate=0.4, seed_departure_rate=0.08),
         )
         model = HeterogeneousModel(classes=classes, eta=0.5)
-        numeric = model.steady_state_numeric(fast_steady_options)
-        assert numeric.converged
-        x = numeric.state[:2]
-        y = numeric.state[2:]
+        ss = model.steady_state()
+        assert ss.converged
         # Seeds balance class by class: lambda_i = gamma_i * y_i.
-        assert y[0] == pytest.approx(0.7 / 0.05, rel=1e-5)
-        assert y[1] == pytest.approx(0.4 / 0.08, rel=1e-5)
-        times = model.download_times_from_state(numeric.state)
-        np.testing.assert_allclose(times, x / np.array([0.7, 0.4]), rtol=1e-12)
+        assert ss.seeds[0] == pytest.approx(0.7 / 0.05, rel=1e-14)
+        assert ss.seeds[1] == pytest.approx(0.4 / 0.08, rel=1e-14)
+        np.testing.assert_allclose(
+            ss.download_times, ss.downloaders / np.array([0.7, 0.4]), rtol=1e-15
+        )
 
     def test_download_times_nan_for_empty_class(self):
         classes = (
             PeerClass(upload=0.01, download=0.1, arrival_rate=1.0, seed_departure_rate=0.05),
             PeerClass(upload=0.01, download=0.1, arrival_rate=0.0, seed_departure_rate=0.05),
         )
-        model = HeterogeneousModel(classes=classes)
-        times = model.download_times_from_state(np.array([1.0, 0.0, 1.0, 0.0]))
-        assert np.isfinite(times[0])
-        assert np.isnan(times[1])
+        ss = HeterogeneousModel(classes=classes).steady_state()
+        assert ss.converged
+        assert np.isfinite(ss.download_times[0])
+        assert np.isnan(ss.download_times[1])
+        assert ss.downloaders[1] == ss.seeds[1] == 0.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CorrelationModel, FluidParameters, MTCDModel
+from repro.ode.reference import find_steady_state
 
 
 def make_model(params, p):
@@ -68,7 +69,7 @@ class TestClosedForm:
     ):
         model = make_model(paper_params, 0.5)
         ss = model.steady_state()
-        numeric = model.steady_state_numeric(fast_steady_options)
+        numeric = find_steady_state(model.rhs, np.zeros(model.state_dim), fast_steady_options)
         assert numeric.converged
         expected = np.concatenate([ss.downloaders, ss.seeds])
         # fast_steady_options solves to a 1e-8 scaled residual, which for

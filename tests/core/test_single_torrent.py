@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import FluidParameters, SingleTorrentModel
 from repro.ode import integrate_scipy
+from repro.ode.reference import find_steady_state
 
 
 class TestClosedForm:
@@ -47,7 +48,7 @@ class TestAgainstODE:
     def test_numeric_steady_state_matches(self, paper_params, fast_steady_options):
         model = SingleTorrentModel(paper_params, arrival_rate=0.8)
         ss = model.steady_state()
-        numeric = model.steady_state_numeric(fast_steady_options)
+        numeric = find_steady_state(model.rhs, np.zeros(model.state_dim), fast_steady_options)
         assert numeric.converged
         np.testing.assert_allclose(
             numeric.state, [ss.downloaders, ss.seeds], rtol=1e-6

@@ -33,10 +33,9 @@ def fluid_times():
         )
         for t in TIERS
     )
-    model = HeterogeneousModel(classes=classes, eta=ETA)
-    result = model.steady_state_numeric()
-    assert result.converged
-    return model.download_times_from_state(result.state)
+    steady = HeterogeneousModel(classes=classes, eta=ETA).steady_state()
+    assert steady.converged
+    return steady.download_times
 
 
 def run_sim(t_end=2500.0, warmup=700.0, seed=23):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.obs import capture, validate_chrome_trace
-from repro.ode import find_steady_state, integrate_rk4, integrate_rk45, integrate_scipy
+from repro.ode import integrate_rk4, integrate_rk45, integrate_scipy
+from repro.ode.reference import find_steady_state
 from repro.runner import run_experiments
 from repro.sim import Simulator
 

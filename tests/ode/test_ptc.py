@@ -1,4 +1,4 @@
-"""The cold steady-state driver: pseudo-transient continuation + Newton.
+"""The reference steady-state driver: pseudo-transient continuation + Newton.
 
 :func:`find_steady_state` no longer integrates, so its answers are checked
 against the integration oracle (:func:`integrate_to_steady_state` followed
@@ -24,14 +24,14 @@ from repro.core import (
 )
 from repro.core.cmfsd import CMFSDSteadyState
 from repro.obs import capture
-from repro.ode import (
-    SteadyStateOptions,
+from repro.ode import SteadyStateOptions, residual_norm
+from repro.ode.reference import (
+    PTC_MAX_STEPS,
+    _numerical_jacobian,
     find_steady_state,
     integrate_to_steady_state,
     newton_steady_state,
-    residual_norm,
 )
-from repro.ode.steady_state import PTC_MAX_STEPS, _numerical_jacobian
 from repro.scenario import compile_fluid, load_spec
 
 TIERS_YAML = Path(__file__).resolve().parents[2] / "examples" / "tiers.yaml"

@@ -1,13 +1,11 @@
-"""Warm-start continuation (:func:`solve_path`) and the batched Jacobian."""
+"""The reference path sweep (:func:`solve_path`) and the batched Jacobian."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.obs import capture
-from repro.ode import PathResult, SteadyStateOptions, solve_path
-from repro.ode.steady_state import _numerical_jacobian
+from repro.ode.reference import PathResult, _numerical_jacobian, solve_path
 
 
 def make_linear_rhs(p: float):
@@ -36,61 +34,26 @@ PARAMS = tuple(np.linspace(0.0, 1.0, 5))
 
 
 class TestSolvePath:
-    def test_warm_path_finds_every_fixed_point(self):
+    def test_path_finds_every_fixed_point(self):
         path = solve_path(make_linear_rhs, PARAMS, np.zeros(2))
         assert isinstance(path, PathResult)
         assert path.converged
         assert path.parameters == PARAMS
+        assert all(r.method == "ptc+newton" for r in path.results)
         for p, state in zip(PARAMS, path.states):
             np.testing.assert_allclose(state, expected_state(p), rtol=1e-6, atol=1e-8)
-
-    def test_first_point_is_cold_rest_warm(self):
-        path = solve_path(make_linear_rhs, PARAMS, np.zeros(2))
-        assert path.cold_solves == 1
-        assert path.warm_hits == len(PARAMS) - 1
-        assert path.results[0].method == "ptc+newton"
-        assert all(r.method == "newton" for r in path.results[1:])
-
-    def test_cold_path_matches_warm_within_tolerance(self):
-        warm = solve_path(make_linear_rhs, PARAMS, np.zeros(2), warm_start=True)
-        cold = solve_path(make_linear_rhs, PARAMS, np.zeros(2), warm_start=False)
-        assert cold.warm_hits == 0
-        assert cold.cold_solves == len(PARAMS)
-        for w, c in zip(warm.states, cold.states):
-            np.testing.assert_allclose(w, c, rtol=1e-6, atol=1e-8)
-
-    def test_warm_path_spends_fewer_rhs_evals(self):
-        with capture(trace=False) as cold_obs:
-            solve_path(make_linear_rhs, PARAMS, np.zeros(2), warm_start=False)
-        with capture(trace=False) as warm_obs:
-            solve_path(make_linear_rhs, PARAMS, np.zeros(2), warm_start=True)
-        cold_evals = cold_obs.registry.counters["ode.rhs_evals"]
-        warm_evals = warm_obs.registry.counters["ode.rhs_evals"]
-        assert warm_evals < cold_evals
 
     def test_path_counters_recorded(self):
         with capture(trace=False) as obs:
             solve_path(make_linear_rhs, PARAMS, np.zeros(2))
         counters = obs.registry.counters
         assert counters["ode.solve_path.points"] == len(PARAMS)
-        assert counters["ode.solve_path.warm_hits"] == len(PARAMS) - 1
-        assert counters["ode.solve_path.cold_solves"] == 1
-
-    def test_failed_warm_newton_falls_back_to_cold(self):
-        # max_newton_iter=0 makes every warm Newton attempt report
-        # non-convergence, so each point must go through the cold driver.
-        opts = SteadyStateOptions(tol=1e-9, max_newton_iter=0)
-        path = solve_path(make_linear_rhs, PARAMS, np.zeros(2), opts)
-        assert path.warm_hits == 0
-        assert path.cold_solves == len(PARAMS)
-        for p, state in zip(PARAMS, path.states):
-            np.testing.assert_allclose(state, expected_state(p), rtol=1e-6, atol=1e-8)
+        assert counters["ode.steady_state.solves"] == len(PARAMS)
 
     def test_empty_path(self):
         path = solve_path(make_linear_rhs, (), np.zeros(2))
         assert path.results == ()
         assert path.converged  # vacuously
-        assert path.warm_hits == path.cold_solves == 0
 
 
 class TestBatchedJacobian:

@@ -1,16 +1,15 @@
-"""Tests for the steady-state solvers."""
+"""Tests for the residual norm and the reference steady-state drivers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ode import (
-    SteadyStateOptions,
+from repro.ode import SteadyStateOptions, residual_norm
+from repro.ode.reference import (
     find_steady_state,
     integrate_to_steady_state,
     newton_steady_state,
-    residual_norm,
 )
 
 

@@ -58,3 +58,24 @@ class TestPackaging:
         )
         assert out.returncode == 0
         assert "figure2" in out.stdout
+
+    def test_reference_drivers_stay_out_of_production_imports(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro, repro.cli, repro.experiments, repro.runner, "
+            "repro.scenario, repro.service, repro.ode; "
+            "assert not hasattr(repro.ode, 'find_steady_state'); "
+            "print('repro.ode.reference' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
