@@ -151,9 +151,9 @@ def test_bench_mesh_kernel_speedup(benchmark):
     assert speedup > 1.0
 
 
-def test_bench_warm_start_rhs_savings(benchmark):
+def test_bench_cmfsd_root_vs_reference_path(benchmark):
     """The production rho path (one scalar root-find): same stationary
-    points as cold ODE solves, no ODE RHS evaluations, less time."""
+    points as the reference ODE path, no ODE RHS evaluations, less time."""
     corr = CorrelationModel(num_files=PAPER_PARAMETERS.num_files, p=0.6)
     rho_values = np.linspace(0.0, 1.0, 6)
     models = [
@@ -162,29 +162,31 @@ def test_bench_warm_start_rhs_savings(benchmark):
     ]
 
     started = time.perf_counter()
-    with capture(trace=False) as cold_obs:
-        cold = steady_state_path(models, warm_start=False)
-    cold_s = time.perf_counter() - started
-    cold_evals = cold_obs.registry.counters["ode.rhs_evals"]
+    with capture(trace=False) as reference_obs:
+        reference = steady_state_path(models, warm_start=False)
+    reference_s = time.perf_counter() - started
+    reference_evals = reference_obs.registry.counters["ode.rhs_evals"]
 
-    def warm_run():
+    def root_run():
         started = time.perf_counter()
-        with capture(trace=False) as warm_obs:
+        with capture(trace=False) as root_obs:
             states = steady_state_path(models, warm_start=True)
-        return states, warm_obs.registry.counters, time.perf_counter() - started
+        return states, root_obs.registry.counters, time.perf_counter() - started
 
-    warm, counters, warm_s = run_once(benchmark, warm_run)
+    root, counters, root_s = run_once(benchmark, root_run)
 
-    assert all(s.converged for s in cold) and all(s.converged for s in warm)
-    for c, w in zip(cold, warm):
-        np.testing.assert_allclose(c.state, w.state, rtol=1e-6, atol=1e-8)
-    warm_evals = counters.get("ode.rhs_evals", 0.0)
-    benchmark.extra_info["cold_rhs_evals"] = int(cold_evals)
-    benchmark.extra_info["warm_rhs_evals"] = int(warm_evals)
-    benchmark.extra_info["cold_over_warm_time"] = round(cold_s / warm_s, 1)
+    assert all(s.converged for s in reference) and all(s.converged for s in root)
+    for ref, r in zip(reference, root):
+        np.testing.assert_allclose(ref.state, r.state, rtol=1e-6, atol=1e-8)
+    root_evals = counters.get("ode.rhs_evals", 0.0)
+    benchmark.extra_info["reference_rhs_evals"] = int(reference_evals)
+    benchmark.extra_info["root_rhs_evals"] = int(root_evals)
+    benchmark.extra_info["reference_over_root_time"] = round(reference_s / root_s, 1)
     reg = current_registry()
-    reg.inc("bench.warm_start.cold_rhs_evals", cold_evals)
-    reg.inc("bench.warm_start.warm_rhs_evals", warm_evals)
+    reg.inc("bench.cmfsd_path.reference_rhs_evals", reference_evals)
+    reg.inc("bench.cmfsd_path.root_rhs_evals", root_evals)
     assert counters["core.cmfsd.root.solves"] == len(models)
-    assert warm_evals == 0, f"production path used {warm_evals} ODE RHS evals"
-    assert warm_s < cold_s, f"production path took {warm_s:.4f} s vs {cold_s:.4f} s cold"
+    assert root_evals == 0, f"production path used {root_evals} ODE RHS evals"
+    assert root_s < reference_s, (
+        f"production path took {root_s:.4f} s vs {reference_s:.4f} s reference"
+    )

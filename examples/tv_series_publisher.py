@@ -27,7 +27,7 @@ from repro import (
     CorrelationModel,
     PAPER_PARAMETERS,
     Scheme,
-    evaluate_scheme,
+    build_model,
 )
 from repro.analysis import ascii_plot, format_table
 
@@ -45,11 +45,11 @@ def main() -> None:
     # --- the four publication/download strategies ---------------------------------
     rows = []
     for scheme in (Scheme.MTCD, Scheme.MTSD, Scheme.MFCD):
-        metrics = evaluate_scheme(scheme, params, workload)
+        metrics = build_model(scheme, params, workload).system_metrics()
         rows.append(
             [scheme.value, metrics.avg_download_time_per_file, metrics.avg_online_time_per_file]
         )
-    cmfsd = evaluate_scheme(Scheme.CMFSD, params, workload, rho=0.0)
+    cmfsd = build_model(Scheme.CMFSD, params, workload, rho=0.0).system_metrics()
     rows.append(["CMFSD (rho=0)", cmfsd.avg_download_time_per_file, cmfsd.avg_online_time_per_file])
     print(
         format_table(

@@ -47,10 +47,9 @@ from repro.core import (
     adapt_fixed_point,
     build_model,
     compare_schemes,
-    evaluate_scheme,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "AdaptController",
@@ -74,6 +73,5 @@ __all__ = [
     "adapt_fixed_point",
     "build_model",
     "compare_schemes",
-    "evaluate_scheme",
     "__version__",
 ]

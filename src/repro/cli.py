@@ -30,10 +30,11 @@ Subcommands
     printed and CSV/figures land in ``--out`` like any experiment.
 ``params``
     Print Table 1 with the paper's evaluation values.
-``simulate <scenario.json|.yaml> [--json]``
-    Run the flow-level simulator on a flat scenario description (see
-    :func:`repro.scenario.sim_config_from_dict` for the schema) and print
-    the summary.
+``simulate <spec.yaml|.json> [--json]``
+    Run the flow-level simulator on a scenario spec (the same document
+    ``run --scenario`` reads, compiled with
+    :func:`repro.scenario.compile_sim`) and print the summary.  A spec the
+    simulator cannot run (bandwidth tiers, streaming) exits 2.
 ``serve --scenario <spec.yaml> [--port N] [--duration S] [--journal PATH]``
     Run a scenario as a live swarm service (:mod:`repro.service`): events
     stream in over a line-JSON TCP protocol, virtual time tracks the wall
@@ -212,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_options(report_p)
 
     sim_p = sub.add_parser(
-        "simulate", help="run the flow-level simulator on a JSON scenario"
+        "simulate", help="run the flow-level simulator on a scenario spec"
     )
-    sim_p.add_argument("scenario", help="path to a scenario JSON file")
+    sim_p.add_argument("scenario", help="path to a scenario spec (YAML or JSON)")
     sim_p.add_argument(
         "--json", action="store_true", help="emit the summary as JSON on stdout"
     )
@@ -326,12 +327,37 @@ def _print_summary_table(summary, title: str) -> None:
     print(format_table(["metric", "value"], rows, title=title))
 
 
+def _cmd_simulate(args) -> int:
+    import json as _json
+
+    from repro.scenario import compile_sim, load_spec
+    from repro.sim.metrics import summary_to_dict
+    from repro.sim.scenarios import run_scenario
+
+    try:
+        config = compile_sim(load_spec(args.scenario))
+    except (OSError, ValueError) as exc:
+        print(f"bad scenario: {exc}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    summary = run_scenario(config)
+    elapsed = time.perf_counter() - started
+    if args.json:
+        print(_json.dumps(summary_to_dict(summary), indent=2))
+    else:
+        _print_summary_table(
+            summary, f"{config.scheme.value} scenario ({elapsed:.1f}s)"
+        )
+    return 0
+
+
 def _cmd_serve(args) -> int:
     import asyncio
     import json as _json
 
-    from repro.scenario import SpecError, load_spec, summary_to_dict
+    from repro.scenario import SpecError, load_spec
     from repro.service import SwarmService
+    from repro.sim.metrics import summary_to_dict
 
     try:
         spec = load_spec(args.scenario)
@@ -413,8 +439,8 @@ def _cmd_serve(args) -> int:
 def _cmd_replay(args) -> int:
     import json as _json
 
-    from repro.scenario import summary_to_dict
     from repro.service import JournalError, ReplayMismatchError, replay_journal
+    from repro.sim.metrics import summary_to_dict
 
     started = time.perf_counter()
     try:
@@ -491,36 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"report written to {path}")
         return _report_failures(summary)
     if args.command == "simulate":
-        import json as _json
-
-        from repro.analysis.tables import format_table
-        from repro.scenario import load_sim_config, summary_to_dict
-        from repro.sim.scenarios import run_scenario
-
-        try:
-            config = load_sim_config(args.scenario)
-        except (OSError, ValueError, _json.JSONDecodeError) as exc:
-            print(f"bad scenario: {exc}", file=sys.stderr)
-            return 2
-        started = time.perf_counter()
-        summary = run_scenario(config)
-        elapsed = time.perf_counter() - started
-        if args.json:
-            print(_json.dumps(summary_to_dict(summary), indent=2))
-        else:
-            rows = [
-                ["users completed", float(summary.n_users_completed)],
-                ["avg online time / file", summary.avg_online_time_per_file],
-                ["avg download time / file", summary.avg_download_time_per_file],
-            ]
-            print(
-                format_table(
-                    ["metric", "value"],
-                    rows,
-                    title=f"{config.scheme.value} scenario ({elapsed:.1f}s)",
-                )
-            )
-        return 0
+        return _cmd_simulate(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "replay":

@@ -39,7 +39,6 @@ from repro.core.schemes import (
     Scheme,
     build_model,
     compare_schemes,
-    evaluate_scheme,
 )
 from repro.core.transient import (
     DrainProfile,
@@ -83,7 +82,6 @@ __all__ = [
     "Scheme",
     "build_model",
     "compare_schemes",
-    "evaluate_scheme",
     "DrainProfile",
     "cmfsd_flash_crowd_state",
     "drain_profile",

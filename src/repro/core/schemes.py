@@ -2,9 +2,9 @@
 
 Experiments, benchmarks and users all want the same thing: "given a fluid
 configuration and a workload, what are the metrics of scheme X?".  This
-module provides that via :class:`Scheme` and :func:`evaluate_scheme` /
-:func:`compare_schemes`, hiding which schemes have closed forms (MTCD, MTSD,
-MFCD) and which need ODE solves (CMFSD).
+module provides that via :class:`Scheme` and :func:`build_model` (plus
+:func:`compare_schemes` for several schemes at once), hiding which schemes
+have closed forms (MTCD, MTSD, MFCD) and which need ODE solves (CMFSD).
 
 Every concrete model satisfies the :class:`FluidModel` protocol
 (``state_dim`` / ``rhs`` / ``steady_state`` / ``class_metrics`` /
@@ -15,13 +15,13 @@ builder.
 
 >>> from repro.core import PAPER_PARAMETERS, CorrelationModel
 >>> workload = CorrelationModel(num_files=10, p=0.9)
->>> mtsd = evaluate_scheme(Scheme.MTSD, PAPER_PARAMETERS, workload)
+>>> mtsd = build_model(Scheme.MTSD, PAPER_PARAMETERS, workload).system_metrics()
 >>> round(mtsd.avg_online_time_per_file, 1)   # flat at T + 1/gamma
 80.0
->>> mtcd = evaluate_scheme(Scheme.MTCD, PAPER_PARAMETERS, workload)
->>> round(mtcd.avg_online_time_per_file, 1)   # concurrency penalty at p=0.9
+>>> mtcd = build_model(Scheme.MTCD, PAPER_PARAMETERS, workload)
+>>> round(mtcd.system_metrics().avg_online_time_per_file, 1)   # p=0.9 penalty
 97.8
->>> isinstance(build_model(Scheme.MTCD, PAPER_PARAMETERS, workload), FluidModel)
+>>> isinstance(mtcd, FluidModel)
 True
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "FluidModel",
     "Scheme",
     "build_model",
-    "evaluate_scheme",
     "compare_schemes",
 ]
 
@@ -141,22 +140,6 @@ def build_model(
     return builder(params, correlation, rho)
 
 
-def evaluate_scheme(
-    scheme: Scheme,
-    params: FluidParameters,
-    correlation: CorrelationModel,
-    *,
-    rho: float | np.ndarray = 0.0,
-) -> SystemMetrics:
-    """Steady-state metrics of one scheme under the Sec.-4.1 workload.
-
-    Thin wrapper over ``build_model(...).system_metrics()`` kept for
-    backward compatibility -- the call signature is unchanged from the
-    pre-protocol API.
-    """
-    return build_model(scheme, params, correlation, rho=rho).system_metrics()
-
-
 def compare_schemes(
     params: FluidParameters,
     correlation: CorrelationModel,
@@ -168,4 +151,7 @@ def compare_schemes(
 
     Returns a dict preserving the requested order, ready for tabulation.
     """
-    return {s: evaluate_scheme(s, params, correlation, rho=rho) for s in schemes}
+    return {
+        s: build_model(s, params, correlation, rho=rho).system_metrics()
+        for s in schemes
+    }

@@ -55,7 +55,7 @@ def run(
     reference_chunks: int = 100,
     n_repeats: int = 2,
     upload_rate: float = 0.02,
-    large_swarm_peers: int | tuple[int, ...] | None = (1000, 10000),
+    large_swarm_peers: tuple[int, ...] | None = (1000, 10000),
     large_swarm_chunks: int = 400,
     large_swarm_degree: int | None = 64,
 ) -> ExperimentResult:
@@ -67,17 +67,12 @@ def run(
     run on the dense vectorised engine (full mixing, unchanged from
     earlier revisions); larger points run on the sparse neighborhood
     engine with ``large_swarm_degree`` tracker-sampled neighbours per
-    peer, the topology real swarms actually have.  Accepts a single int
-    for backward compatibility; pass ``None`` to skip the axis.
+    peer, the topology real swarms actually have.  Pass ``None`` to skip
+    the axis.
     """
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    if large_swarm_peers is None:
-        large_points: tuple[int, ...] = ()
-    elif isinstance(large_swarm_peers, int):
-        large_points = (large_swarm_peers,)
-    else:
-        large_points = tuple(large_swarm_peers)
+    large_points = tuple(large_swarm_peers or ())
     for pt in large_points:
         if pt < 1:
             raise ValueError(f"large_swarm_peers must be >= 1, got {pt}")

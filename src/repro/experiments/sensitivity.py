@@ -22,27 +22,21 @@ import numpy as np
 
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.tables import format_table
-from repro.core.cmfsd import CMFSDModel
 from repro.core.correlation import CorrelationModel
 from repro.core.parameters import FluidParameters, PAPER_PARAMETERS
-from repro.core.schemes import Scheme, evaluate_scheme
+from repro.core.schemes import Scheme, build_model
 from repro.experiments.base import ExperimentResult, FigureSpec
 
 __all__ = ["run"]
 
 
 def _evaluate(params: FluidParameters, p: float) -> tuple[float, float, float, float]:
-    """Times of all four schemes.
-
-    MTCD/MTSD/MFCD have closed forms; CMFSD comes from its scalar root.
-    """
+    """Online times per file of MTCD, MTSD, MFCD and CMFSD (rho = 0)."""
     corr = CorrelationModel(num_files=params.num_files, p=p)
-    closed = tuple(
-        evaluate_scheme(s, params, corr).avg_online_time_per_file
-        for s in (Scheme.MTCD, Scheme.MTSD, Scheme.MFCD)
+    return tuple(
+        build_model(s, params, corr).system_metrics().avg_online_time_per_file
+        for s in (Scheme.MTCD, Scheme.MTSD, Scheme.MFCD, Scheme.CMFSD)
     )
-    model = CMFSDModel.from_correlation(params, corr, rho=0.0)
-    return closed + (model.system_metrics().avg_online_time_per_file,)
 
 
 def run(

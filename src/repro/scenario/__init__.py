@@ -16,8 +16,8 @@ with strict, path-qualified validation everywhere
 (:class:`SpecError`).  :func:`run_spec` runs a spec end to end as an
 experiment; ``repro run --scenario PATH`` and
 ``register_experiment(id, spec=PATH)`` are the CLI faces of the same
-functions.  The legacy flat config surfaces live on in
-:mod:`repro.scenario.compat`, rebuilt on the shared schema machinery.
+functions.  The spec is the only scenario format: ``repro simulate``
+reads the same documents, compiled with :func:`compile_sim`.
 
 >>> from repro.scenario import ScenarioSpec, WorkloadSpec, compile_sim
 >>> from repro.core import Scheme
@@ -44,7 +44,7 @@ from repro.scenario.spec import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.scenario.loader import dump_spec, load_spec, read_document, save_spec
+from repro.scenario.loader import dump_spec, load_spec, save_spec
 from repro.scenario.compile import (
     ChunkRun,
     compile_chunks,
@@ -53,12 +53,6 @@ from repro.scenario.compile import (
     compile_params,
     compile_sim,
     supported_backends,
-)
-from repro.scenario.compat import (
-    chunk_config_from_dict,
-    load_sim_config,
-    sim_config_from_dict,
-    summary_to_dict,
 )
 from repro.scenario.driver import run_spec, spec_experiment_id
 
@@ -79,7 +73,6 @@ __all__ = [
     "TierSpec",
     "WorkloadSpec",
     "check_keys",
-    "chunk_config_from_dict",
     "compile_chunks",
     "compile_correlation",
     "compile_fluid",
@@ -87,16 +80,12 @@ __all__ = [
     "compile_sim",
     "dump_spec",
     "from_mapping",
-    "load_sim_config",
     "load_spec",
-    "read_document",
     "run_spec",
     "save_spec",
-    "sim_config_from_dict",
     "spec_experiment_id",
     "spec_from_dict",
     "spec_to_dict",
-    "summary_to_dict",
     "supported_backends",
     "to_mapping",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
 
 from repro.scenario.schema import SpecError
 from repro.scenario.spec import ScenarioSpec, spec_from_dict, spec_to_dict
@@ -20,13 +19,13 @@ try:  # gate the optional dependency; everything else works without it
 except ImportError:  # pragma: no cover - the test image ships PyYAML
     _yaml = None
 
-__all__ = ["load_spec", "read_document", "save_spec", "dump_spec"]
+__all__ = ["load_spec", "save_spec", "dump_spec"]
 
 _YAML_SUFFIXES = (".yaml", ".yml")
 
 
-def read_document(path: str | Path) -> Mapping[str, Any]:
-    """Parse one YAML/JSON file into a plain mapping (no validation yet)."""
+def load_spec(path: str | Path) -> ScenarioSpec:
+    """Read and validate a scenario spec file (YAML or JSON by suffix)."""
     path = Path(path)
     text = path.read_text()
     if path.suffix.lower() in _YAML_SUFFIXES:
@@ -34,22 +33,12 @@ def read_document(path: str | Path) -> Mapping[str, Any]:
             raise SpecError(
                 str(path), "PyYAML is not installed; use a .json spec instead"
             )
-        doc = _yaml.safe_load(text)
-    else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(str(path), f"invalid JSON: {exc}") from None
-    if not isinstance(doc, Mapping):
-        raise SpecError(
-            str(path), f"expected a mapping at top level, got {type(doc).__name__}"
-        )
-    return doc
-
-
-def load_spec(path: str | Path) -> ScenarioSpec:
-    """Read and validate a scenario spec file (YAML or JSON by suffix)."""
-    return spec_from_dict(read_document(path))
+        return spec_from_dict(_yaml.safe_load(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(str(path), f"invalid JSON: {exc}") from None
+    return spec_from_dict(doc)
 
 
 def dump_spec(spec: ScenarioSpec, *, fmt: str = "yaml") -> str:

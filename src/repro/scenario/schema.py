@@ -1,9 +1,8 @@
 """Strict mapping <-> dataclass machinery shared by every config surface.
 
 Every declarative document in the package -- the scenario DSL
-(:mod:`repro.scenario.spec`), the legacy flat simulator JSON
-(:mod:`repro.scenario.compat`) and the chunk-swarm dict plumbing -- goes
-through the two functions here:
+(:mod:`repro.scenario.spec`) and its nested sections -- goes through the
+two functions here:
 
 * :func:`from_mapping` builds a (frozen) spec dataclass from a plain dict,
   rejecting unknown keys and wrong types with **path-qualified** errors
@@ -28,7 +27,7 @@ import types
 import typing
 from typing import Any, Mapping
 
-__all__ = ["SpecError", "check_keys", "coerce_value", "from_mapping", "to_mapping"]
+__all__ = ["SpecError", "check_keys", "from_mapping", "to_mapping"]
 
 
 class SpecError(ValueError):
@@ -128,10 +127,6 @@ def _coerce(value: Any, tp: Any, path: str) -> Any:
             return value
         raise SpecError(path, f"expected a string, got {type(value).__name__}")
     raise TypeError(f"unsupported annotation {tp!r} in spec schema")  # pragma: no cover
-
-
-#: public name for single-value coercion (the legacy flat schemas use it)
-coerce_value = _coerce
 
 
 def from_mapping(cls: type, doc: Mapping[str, Any], path: str = "") -> Any:

@@ -25,11 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.scenario.compat import summary_to_dict
 from repro.scenario.spec import ScenarioSpec, spec_to_dict
 from repro.service.events import LiveEvent, LiveEventKind
 from repro.service.journal import JournalWriter
-from repro.sim.metrics import SimulationSummary
+from repro.sim.metrics import SimulationSummary, summary_to_dict
 from repro.sim.scenarios import build_simulation
 from repro.scenario.compile import compile_sim
 
@@ -39,7 +38,7 @@ __all__ = ["ServiceCore", "summary_digest"]
 def summary_digest(summary: SimulationSummary) -> str:
     """SHA-256 digest of a summary, covering every field bit-exactly.
 
-    Extends :func:`~repro.scenario.compat.summary_to_dict` (user-time
+    Extends :func:`~repro.sim.metrics.summary_to_dict` (user-time
     metrics) with the time-averaged population fields, so two summaries
     share a digest iff every float in them is bit-identical (Python floats
     serialise via shortest-repr, which round-trips exactly).

@@ -45,6 +45,9 @@ _log = logging.getLogger(__name__)
 
 _STOP = object()  # pump-loop sentinel; never journaled
 
+#: longest TCP request line in bytes (asyncio's default stream limit)
+_LINE_LIMIT = 2**16
+
 
 class SwarmService:
     """Asyncio daemon serving one live scenario (see module docstring).
@@ -254,18 +257,33 @@ class SwarmService:
         Protocol: one JSON object per line.  ``{"op": "event", "event":
         {...}}`` ingests (``op`` defaults to ``event``, so a bare event
         dict works too); ``{"op": "stats"}`` and ``{"op": "summary"}``
-        query.  Each request gets one JSON response line.
+        query.  Each request gets one JSON response line.  A line longer
+        than 64 KiB gets one error line, and the connection is closed.
         """
-        return await asyncio.start_server(self._handle_client, host, port)
+        return await asyncio.start_server(
+            self._handle_client, host, port, limit=_LINE_LIMIT
+        )
 
     async def _handle_client(self, reader, writer) -> None:
+        async def respond(response: dict) -> None:
+            writer.write(json.dumps(response, sort_keys=True).encode() + b"\n")
+            await writer.drain()
+
         try:
-            while line := await reader.readline():
-                if not line.strip():
-                    continue
-                response = await self._dispatch_line(line)
-                writer.write(json.dumps(response, sort_keys=True).encode() + b"\n")
-                await writer.drain()
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran the stream limit
+                    await respond({
+                        "ok": False,
+                        "error": f"request line longer than {_LINE_LIMIT} "
+                        "bytes; closing the connection",
+                    })
+                    return
+                if not line:
+                    return
+                if line.strip():
+                    await respond(await self._dispatch_line(line))
         finally:
             writer.close()
 

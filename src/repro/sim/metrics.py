@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.core.metrics import ClassMetrics, SystemMetrics, aggregate_metrics
 from repro.sim.entities import EntrySpan, UserRecord
 
-__all__ = ["PopulationSample", "MetricsCollector", "SimulationSummary"]
+__all__ = [
+    "PopulationSample",
+    "MetricsCollector",
+    "SimulationSummary",
+    "summary_to_dict",
+]
 
 
 @dataclass(frozen=True)
@@ -234,3 +240,26 @@ class SimulationSummary:
         """
         per_class = [self.class_metrics(i) for i in self.classes]
         return aggregate_metrics(scheme, per_class)
+
+
+def summary_to_dict(summary: SimulationSummary) -> dict[str, Any]:
+    """Serialise a run summary for JSON output (NaNs become None)."""
+
+    def clean(x: float) -> float | None:
+        return None if x != x else float(x)
+
+    return {
+        "n_users_completed": summary.n_users_completed,
+        "avg_online_time_per_file": clean(summary.avg_online_time_per_file),
+        "avg_download_time_per_file": clean(summary.avg_download_time_per_file),
+        "online_time_per_file_by_class": [
+            clean(v) for v in summary.online_time_per_file_by_class
+        ],
+        "download_time_per_file_by_class": [
+            clean(v) for v in summary.download_time_per_file_by_class
+        ],
+        "entry_download_time_by_class": [
+            clean(v) for v in summary.entry_download_time_by_class
+        ],
+        "class_counts": [int(v) for v in summary.class_counts],
+    }

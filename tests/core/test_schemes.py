@@ -11,7 +11,6 @@ from repro.core import (
     Scheme,
     build_model,
     compare_schemes,
-    evaluate_scheme,
 )
 
 
@@ -67,7 +66,9 @@ class TestFluidModelProtocol:
     ):
         model = build_model(scheme, paper_params, high_correlation, rho=0.2)
         via_protocol = model.system_metrics()
-        via_legacy = evaluate_scheme(scheme, paper_params, high_correlation, rho=0.2)
+        via_legacy = compare_schemes(
+            paper_params, high_correlation, (scheme,), rho=0.2
+        )[scheme]
         assert via_protocol.avg_online_time_per_file == pytest.approx(
             via_legacy.avg_online_time_per_file
         )
@@ -89,7 +90,8 @@ class TestFluidModelProtocol:
 class TestEvaluate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_all_schemes_evaluable(self, scheme, paper_params, high_correlation):
-        metrics = evaluate_scheme(scheme, paper_params, high_correlation, rho=0.2)
+        model = build_model(scheme, paper_params, high_correlation, rho=0.2)
+        metrics = model.system_metrics()
         assert metrics.scheme == scheme.value
         assert metrics.avg_online_time_per_file > 0
 
@@ -110,9 +112,9 @@ class TestEvaluate:
         assert set(results) == {Scheme.MTSD, Scheme.MTCD}
 
     def test_rho_only_affects_cmfsd(self, paper_params, mid_correlation):
-        a = evaluate_scheme(Scheme.MTCD, paper_params, mid_correlation, rho=0.0)
-        b = evaluate_scheme(Scheme.MTCD, paper_params, mid_correlation, rho=1.0)
-        assert a.avg_online_time_per_file == b.avg_online_time_per_file
-        c = evaluate_scheme(Scheme.CMFSD, paper_params, mid_correlation, rho=0.0)
-        d = evaluate_scheme(Scheme.CMFSD, paper_params, mid_correlation, rho=1.0)
-        assert c.avg_online_time_per_file < d.avg_online_time_per_file
+        def online(scheme, rho):
+            model = build_model(scheme, paper_params, mid_correlation, rho=rho)
+            return model.system_metrics().avg_online_time_per_file
+
+        assert online(Scheme.MTCD, 0.0) == online(Scheme.MTCD, 1.0)
+        assert online(Scheme.CMFSD, 0.0) < online(Scheme.CMFSD, 1.0)

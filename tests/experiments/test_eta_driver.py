@@ -61,7 +61,7 @@ class TestEtaDriver:
 
     def test_large_swarm_validated(self):
         with pytest.raises(ValueError, match="large_swarm_peers"):
-            eta_measurement.run(large_swarm_peers=0)
+            eta_measurement.run(large_swarm_peers=(0,))
 
 
 class TestSeedDerivation:
@@ -97,7 +97,7 @@ def test_large_swarm_row_present_at_small_scale():
         reference_peers=10,
         reference_chunks=20,
         n_repeats=1,
-        large_swarm_peers=25,
+        large_swarm_peers=(25,),
         large_swarm_chunks=40,
     )
     large = [r for r in result.rows if r[0] == "large_swarm"]

@@ -25,10 +25,14 @@ from repro.scenario import (
     StreamingSpec,
     TierSpec,
     WorkloadSpec,
+    compile_sim,
     run_spec,
     spec_experiment_id,
+    spec_from_dict,
     spec_to_dict,
 )
+from repro.sim.metrics import summary_to_dict
+from repro.sim.scenarios import run_scenario
 
 
 def tiny_chunk_spec(**chunk_overrides) -> ScenarioSpec:
@@ -181,3 +185,87 @@ class TestScenarioCLI:
     def test_run_without_experiment_exits_2(self, capsys):
         assert main(["run"]) == 2
         assert "--scenario" in capsys.readouterr().err
+
+
+def sim_doc(**overrides):
+    """A small DSL document for short flow-level simulator runs."""
+    doc = {
+        "scheme": "MTSD",
+        "params": {"num_files": 3},
+        "workload": {"p": 0.6, "visit_rate": 0.4},
+        "sim": {"t_end": 800, "warmup": 200, "seed": 5},
+    }
+    doc.update(overrides)
+    return doc
+
+
+class TestSummaryToDict:
+    def test_summary_serialises_with_nans_as_none(self):
+        # at p = 1 every user requests all three files: classes 1 and 2 stay
+        # empty and their per-class times are NaN
+        doc = sim_doc(workload={"p": 1.0, "visit_rate": 0.4})
+        summary = run_scenario(compile_sim(spec_from_dict(doc)))
+        out = summary_to_dict(summary)
+        json.dumps(out, allow_nan=False)  # must be strict-JSON safe
+        assert out["online_time_per_file_by_class"][:2] == [None, None]
+        assert out["class_counts"] == [0, 0, summary.n_users_completed]
+        assert out["avg_online_time_per_file"] == pytest.approx(
+            summary.avg_online_time_per_file
+        )
+
+
+class TestSimulateCLI:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_table_output(self, tmp_path, capsys):
+        assert main(["simulate", self.write(tmp_path, sim_doc())]) == 0
+        out = capsys.readouterr().out
+        assert "MTSD scenario" in out
+        assert "avg online time / file" in out
+
+    def test_json_output(self, tmp_path, capsys):
+        assert main(["simulate", self.write(tmp_path, sim_doc()), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_users_completed"] > 0
+
+    def test_yaml_scenario(self, tmp_path, capsys):
+        yaml = pytest.importorskip("yaml")
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(sim_doc()))
+        assert main(["simulate", str(path)]) == 0
+        assert "MTSD scenario" in capsys.readouterr().out
+
+    def test_missing_file(self, capsys):
+        assert main(["simulate", "/no/such/file.json"]) == 2
+        assert "bad scenario" in capsys.readouterr().err
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main(["simulate", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_schema_error(self, tmp_path, capsys):
+        assert main(["simulate", self.write(tmp_path, sim_doc(scheme="WARP"))]) == 2
+        assert "scheme: unknown Scheme" in capsys.readouterr().err
+
+    def test_tiered_spec_exits_2(self, tmp_path, capsys):
+        tiers = [{"name": "all", "upload": 0.02, "download": 0.2, "share": 1.0}]
+        path = self.write(tmp_path, sim_doc(tiers=tiers))
+        assert main(["simulate", path]) == 2
+        assert "bad scenario: tiers:" in capsys.readouterr().err
+
+    def test_flat_document_exits_2(self, tmp_path, capsys):
+        """The flat simulator document of releases before 1.23 (``t_end``
+        and ``seed`` at the root) is rejected, naming the first unknown key."""
+        flat = {
+            "scheme": "MTSD",
+            "workload": {"p": 0.6},
+            "t_end": 800,
+            "seed": 5,
+        }
+        assert main(["simulate", self.write(tmp_path, flat)]) == 2
+        assert "unknown keys ['seed', 't_end']" in capsys.readouterr().err

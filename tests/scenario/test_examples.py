@@ -1,7 +1,7 @@
 """Every shipped example spec must load, validate and compile.
 
-Parametrised over ``examples/*.yaml`` so adding a broken example fails
-tier-1 immediately; the compile probe uses ``supported_backends`` (which
+Parametrised over ``examples/*.yaml`` and ``examples/*.json`` so adding a
+broken example fails tier-1 immediately; the compile probe uses ``supported_backends`` (which
 exercises every compiler) rather than running the scenario, keeping this
 file fast.
 """
@@ -12,14 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario import (
-    SpecError,
-    load_sim_config,
-    load_spec,
-    spec_from_dict,
-    spec_to_dict,
-    supported_backends,
-)
+from repro.scenario import load_spec, spec_from_dict, spec_to_dict, supported_backends
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 EXAMPLE_DOCS = sorted(EXAMPLES_DIR.glob("*.yaml")) + sorted(
@@ -27,14 +20,6 @@ EXAMPLE_DOCS = sorted(EXAMPLES_DIR.glob("*.yaml")) + sorted(
 )
 
 pytestmark = pytest.mark.skipif(not EXAMPLE_DOCS, reason="no example docs shipped")
-
-
-def load_any(path):
-    """An example document is either a DSL spec or a flat simulator config."""
-    try:
-        return "dsl", load_spec(path)
-    except SpecError:
-        return "flat", load_sim_config(path)
 
 
 def test_examples_exist():
@@ -45,9 +30,7 @@ def test_examples_exist():
 @pytest.mark.parametrize("path", EXAMPLE_DOCS, ids=lambda p: p.name)
 def test_example_loads_and_compiles(path):
     pytest.importorskip("yaml")
-    kind, loaded = load_any(path)
-    if kind == "flat":
-        return  # load_sim_config already fully validated it
+    loaded = load_spec(path)
     assert supported_backends(loaded), f"{path.name} compiles to no backend"
     # Examples are reference documents: they must survive the round trip.
     assert spec_from_dict(spec_to_dict(loaded)) == loaded
@@ -56,8 +39,6 @@ def test_example_loads_and_compiles(path):
 @pytest.mark.parametrize("path", EXAMPLE_DOCS, ids=lambda p: p.name)
 def test_dsl_examples_are_named_and_described(path):
     pytest.importorskip("yaml")
-    kind, loaded = load_any(path)
-    if kind == "flat":
-        pytest.skip("flat simulator config: no name/description fields")
+    loaded = load_spec(path)
     assert loaded.name, f"{path.name} should set a name"
     assert loaded.description, f"{path.name} should set a description"

@@ -156,11 +156,26 @@ class TestRejection:
                 {"sim": {"deferred_integration": False}},
                 r"^sim: unknown keys \['deferred_integration'\]",
             ),
+            ({"params": {"mu": 0.02, "warp": 9}}, r"params: unknown keys"),
+            ({"seeds": {"policy": "warp"}}, r"seeds: policy must be"),
+            ({"sim": {"t_end": "soon"}}, r"sim\.t_end: expected a number"),
+            (
+                {"scheme": "CMFSD", "behavior": {"adapt": {"warp": 1}}},
+                r"behavior\.adapt: unknown keys \['warp'\]",
+            ),
         ],
     )
     def test_path_qualified_errors(self, mutation, path_prefix):
         with pytest.raises(SpecError, match=path_prefix):
             spec_from_dict(minimal_doc(**mutation))
+
+    def test_unknown_key_error_lists_the_allowed_keys(self):
+        """The allowed set is derived from the spec dataclass, not hardcoded."""
+        with pytest.raises(SpecError, match=r"allowed: \[.*'sim'.*\]"):
+            spec_from_dict(minimal_doc(t_end=800))
+
+    def test_scheme_is_case_insensitive(self):
+        assert spec_from_dict(minimal_doc(scheme="cmfsd")).scheme is Scheme.CMFSD
 
     def test_missing_scheme(self):
         with pytest.raises(SpecError, match="missing required key 'scheme'"):

@@ -313,3 +313,48 @@ class TestTCP:
 
         svc = asyncio.run(run())
         assert svc.core.events_applied == 2
+
+    @pytest.mark.parametrize("newline", [b"\n", b""], ids=["line", "unterminated"])
+    def test_overlong_line_is_refused_and_the_server_keeps_serving(
+        self, spec, newline
+    ):
+        """A request line over asyncio's 64 KiB stream limit gets one error
+        line and a closed connection; the handler does not crash into the
+        loop's exception handler, and other clients are still served."""
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            svc = SwarmService(spec, clock=ticking_clock())
+            await svc.start()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "stats", "pad": "' + b"x" * 70_000 + b'"}' + newline)
+            await writer.drain()
+            refusal = json.loads(await reader.readline())
+            assert await reader.read() == b""  # then the server hangs up
+            writer.close()
+
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "stats"}\n')
+            await writer.drain()
+            served = json.loads(await reader.readline())
+            writer.close()
+
+            server.close()
+            await server.wait_closed()
+            await svc.stop()
+            return refusal, served, unhandled, dict(svc.counters)
+
+        refusal, served, unhandled, counters = asyncio.run(run())
+        assert refusal == {
+            "ok": False,
+            "error": "request line longer than 65536 bytes; closing the connection",
+        }
+        assert served["ok"] and "stats" in served
+        assert unhandled == []
+        assert counters == {"events": 0, "dropped": 0, "stale": 0, "errors": 0}

@@ -8,7 +8,7 @@ trajectory and still agree with an oracle that moved with it.  These cases
 pin short runs -- MTSD at numwant 20 and 5, MTCD, and CMFSD on the global
 pool at rho = 0.5, all at p = 0.9 -- by the final ``rng.misc`` state (the
 stream the tracker samples from), the tracker's announce count and two
-digests of :func:`~repro.scenario.compat.summary_to_dict`:
+digests of :func:`~repro.sim.metrics.summary_to_dict`:
 
 * the *exact* digest (every float bit).  The neighbour kernel's matrix
   products run in BLAS, whose summation order depends on the BLAS build
@@ -34,7 +34,7 @@ import pytest
 from repro.core import Scheme
 from repro.core.correlation import CorrelationModel
 from repro.core.parameters import PAPER_PARAMETERS
-from repro.scenario.compat import summary_to_dict
+from repro.sim.metrics import summary_to_dict
 from repro.sim import ScenarioConfig, SeedPolicy, build_simulation
 
 HORIZON, WARMUP, SEED = 800.0, 250.0, 11
